@@ -5,12 +5,10 @@ import numpy as np
 
 from fgpan import (
     AttentionHeadParams,
-    LwaParams,
     SyntheticConfig,
-    attention_weights,
     gen_synthetic,
-    lwa_forward,
-    partition_windows,
+    partition_coords,
+    window_attention,
 )
 
 slides, _ = gen_synthetic(
@@ -18,12 +16,13 @@ slides, _ = gen_synthetic(
                     noise_sigma=0.2, grid_rows=6, grid_cols=6, seed=3)
 )
 slide = slides[0]
+f = slide.matrix()
 
 S = 2
-partition = partition_windows(slide, S)
-print(f"{slide.n_patches} patches tiled into {len(partition.windows)} windows of size {S}x{S}:")
-for w in partition.windows:
-    print(f"  tile {w.tile_index}: members {w.member_indices} offsets {w.local_offsets}")
+parts = partition_coords(slide.coords(), S)
+print(f"{slide.n_patches} patches tiled into {len(parts)} windows of size {S}x{S}:")
+for tile, idx, offs in parts:
+    print(f"  tile {tile}: members {idx.tolist()} offsets {[tuple(o) for o in offs.tolist()]}")
 
 rng = np.random.default_rng(0)
 d = slide.dim
@@ -36,24 +35,21 @@ heads = [
     )
     for _ in range(2)
 ]
-params = LwaParams(heads, d)
 
-outs = lwa_forward(slide.matrix(), partition, params)
-print("per-head refined feature shapes:", [o.shape for o in outs])
+runs = [window_attention(f, parts, head) for head in heads]
+print("per-head refined feature shapes:", [out.shape for out, _ in runs])
 
 # attention rows are probability distributions over window members
-w0 = partition.windows[0]
-a = attention_weights(
-    slide.matrix()[w0.member_indices], w0.local_offsets, heads[0]
-)
-print("window", w0.tile_index, "attention matrix:")
+tile0, idx0, _ = parts[0]
+a = runs[0][1][0][6]
+print("window", tile0, "attention matrix:")
 print(np.round(a, 4))
 print("row sums:", a.sum(axis=1))
 
 # locality: patches in other windows never contribute
-f2 = slide.matrix().copy()
-other = [i for i in range(slide.n_patches) if i not in w0.member_indices]
+f2 = f.copy()
+other = [i for i in range(slide.n_patches) if i not in idx0]
 f2[other] = 0.0
-perturbed = lwa_forward(f2, partition, params)
-same = np.array_equal(outs[0][w0.member_indices], perturbed[0][w0.member_indices])
+perturbed, _ = window_attention(f2, parts, heads[0])
+same = np.array_equal(runs[0][0][idx0], perturbed[idx0])
 print("first window output unchanged after zeroing every other window:", same)

@@ -11,9 +11,9 @@ slides, prototypes, params = random_instance(
 )
 print(f"instance: {len(slides)} slides, {params.n_scalars} learnable scalars")
 
-grads = grad_total_loss(slides, params, prototypes, 1.0)
+loss, grads = grad_total_loss(slides, params, prototypes, 1.0)
 flat = flatten_grads(grads, params)
-print(f"gradient norm {float((flat**2).sum())**0.5:.6f}, "
+print(f"loss {loss:.6f}, gradient norm {float((flat**2).sum())**0.5:.6f}, "
       f"largest |component| {abs(flat).max():.6f}")
 
 for pos_mode in ("sinusoidal", "learned_table"):

@@ -7,30 +7,14 @@ slide-level aggregation. Training is plain numpy with hand-derived gradients
 checked against a finite-difference oracle.
 """
 
-from .aggregation import (
-    AggregationParams,
-    SlidePrediction,
-    aggregate_slide,
-    patch_weights,
-    positional_embedding,
-    slide_loss,
-)
+from .aggregation import AggregationParams, SlidePrediction
 from .attention import (
     AttentionHeadParams,
     LwaParams,
-    WindowPartition,
-    attend_window,
-    attention_weights,
-    lwa_forward,
-    partition_windows,
+    partition_coords,
+    window_attention,
 )
-from .classifier import (
-    PatchPrediction,
-    TemperatureParam,
-    patch_loss,
-    patch_probs,
-    patch_scores,
-)
+from .classifier import TemperatureParam
 from .data import (
     ClassPrototype,
     PatchEmbedding,
@@ -44,7 +28,7 @@ from .data import (
     save_prototypes,
     save_slide,
 )
-from .fusion import FusionParams, GateParams, fuse_heads, gate_head
+from .fusion import FusionParams, GateParams
 from .metrics import (
     EvalRecord,
     auroc_ovr,

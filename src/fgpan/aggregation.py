@@ -1,6 +1,10 @@
-"""Coordinate-aware slide-level aggregation: softmax importance weights over
-concatenated [feature, positional-embedding] vectors, then a weighted sum of
-patch distributions."""
+"""Coordinate-aware slide-level aggregation: its parameters, its prediction
+type and the positional embeddings.
+
+Importance weights are a softmax over w . [feature || positional-embedding];
+the slide distribution is the weighted sum of the patch distributions. That
+forward pass and its gradient live in training.py.
+"""
 
 from dataclasses import dataclass
 
@@ -9,12 +13,8 @@ import numpy as np
 __all__ = [
     "AggregationParams",
     "SlidePrediction",
-    "positional_embedding",
     "sinusoidal_embeddings",
     "table_embeddings",
-    "patch_weights",
-    "aggregate_slide",
-    "slide_loss",
 ]
 
 POSITIONAL_MODES = ("sinusoidal", "learned_table")
@@ -75,18 +75,13 @@ class SlidePrediction:
             raise ValueError("P must sum to 1")
 
 
-def positional_embedding(coord, d: int) -> np.ndarray:
-    """Sinusoidal encoding of one (row, col) grid coordinate.
+def sinusoidal_embeddings(coords: np.ndarray, d: int) -> np.ndarray:
+    """Sinusoidal encoding of (M, 2) grid coordinates, one row per patch.
 
     For j in 0..d/4-1 with omega_j = 10000**(-4j/d), slots (4j..4j+3) hold
     (sin(row * omega_j), cos(row * omega_j), sin(col * omega_j),
     cos(col * omega_j)). Requires d divisible by 4.
     """
-    return sinusoidal_embeddings(np.asarray([coord]), d)[0]
-
-
-def sinusoidal_embeddings(coords: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized sinusoidal encoding of (M, 2) grid coordinates."""
     if d % 4 != 0:
         raise ValueError("sinusoidal positional encoding requires d divisible by 4")
     coords = np.asarray(coords, dtype=np.float64)
@@ -109,44 +104,3 @@ def table_embeddings(coords: np.ndarray, params: AggregationParams) -> np.ndarra
         raise ValueError("coordinate outside the learned positional table's grid")
     flat = coords[:, 0] * params.grid_cols + coords[:, 1]
     return params.learned_table[flat]
-
-
-def _positional(coords: np.ndarray, params: AggregationParams) -> np.ndarray:
-    if params.positional_mode == "sinusoidal":
-        return sinusoidal_embeddings(coords, params.dim)
-    return table_embeddings(coords, params)
-
-
-def patch_weights(
-    h_list: np.ndarray, coords: np.ndarray, params: AggregationParams
-) -> np.ndarray:
-    """Softmax importance weights over w . [H_i || phi(coord_i)]."""
-    h = np.asarray(h_list, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise ValueError("expected a non-empty (M, d) feature matrix")
-    if h.shape[1] * 2 != params.w.shape[0]:
-        raise ValueError(
-            f"w has length {params.w.shape[0]}, expected 2d = {2 * h.shape[1]}"
-        )
-    phi = _positional(coords, params)
-    logits = np.concatenate([h, phi], axis=1) @ params.w
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
-def aggregate_slide(alpha: np.ndarray, patch_probs: np.ndarray) -> np.ndarray:
-    """Slide distribution P = sum_i alpha_i * p_i."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    patch_probs = np.asarray(patch_probs, dtype=np.float64)
-    if patch_probs.ndim != 2 or alpha.shape != (patch_probs.shape[0],):
-        raise ValueError("alpha must have one weight per patch distribution row")
-    return alpha @ patch_probs
-
-
-def slide_loss(p_slide: np.ndarray, y: int) -> float:
-    """Cross entropy -ln P_y of the aggregated slide distribution."""
-    p_slide = np.asarray(p_slide, dtype=np.float64)
-    if not 0 <= y < p_slide.shape[0]:
-        raise ValueError(f"label {y} outside [0, {p_slide.shape[0]})")
-    return float(-np.log(p_slide[y]))

@@ -8,21 +8,16 @@ only (variable-size windows, no padding). The bias is a per-head
 query patch minus the key patch, added to Q K^T before the sqrt(d) scaling.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SlideRecord
-
 __all__ = [
     "AttentionHeadParams",
     "LwaParams",
-    "WindowGroup",
-    "WindowPartition",
-    "partition_windows",
-    "attend_window",
-    "attention_weights",
-    "lwa_forward",
+    "partition_coords",
+    "window_attention",
 ]
 
 
@@ -86,21 +81,6 @@ class LwaParams:
         return self.heads[0].window_size
 
 
-@dataclass(eq=False)
-class WindowGroup:
-    tile_index: tuple[int, int]
-    member_indices: list[int]
-    local_offsets: list[tuple[int, int]]
-
-
-@dataclass(eq=False)
-class WindowPartition:
-    """Disjoint cover of a slide's patches by S x S tiles, row-major order."""
-
-    window_size: int
-    windows: list[WindowGroup]
-
-
 def partition_coords(coords: np.ndarray, window_size: int):
     """Group patch indices by tile (row // S, col // S); empty tiles omitted.
 
@@ -120,84 +100,30 @@ def partition_coords(coords: np.ndarray, window_size: int):
     return out
 
 
-def partition_windows(slide: SlideRecord, window_size: int) -> WindowPartition:
-    """Tile a slide's patches into S x S windows."""
-    parts = partition_coords(slide.coords(), window_size)
-    windows = [
-        WindowGroup(tile, [int(i) for i in idx], [(int(r), int(c)) for r, c in offs])
-        for tile, idx, offs in parts
-    ]
-    return WindowPartition(window_size, windows)
+def window_attention(f: np.ndarray, parts, head: AttentionHeadParams):
+    """One head of self-attention over every window of a partition.
 
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _bias_matrix(offsets: np.ndarray, table: np.ndarray) -> np.ndarray:
-    s = (table.shape[0] + 1) // 2
-    d_row = offsets[:, 0][:, None] - offsets[:, 0][None, :]
-    d_col = offsets[:, 1][:, None] - offsets[:, 1][None, :]
-    return table[d_row + s - 1, d_col + s - 1]
-
-
-def _check_window_args(features, offsets, head):
-    features = np.asarray(features, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("window features must be a non-empty (k, d) matrix")
-    if features.shape[1] != head.dim:
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match head dim {head.dim}"
-        )
-    s = head.window_size
-    k = features.shape[0]
-    if k > s * s:
-        raise ValueError(f"window holds {k} patches but capacity is S^2 = {s * s}")
-    if offsets.shape != (k, 2):
-        raise ValueError("offsets must be a (k, 2) array")
-    if offsets.min() < 0 or offsets.max() >= s:
-        raise ValueError("local offsets must lie in [0, S)")
-    return features, offsets
-
-
-def attention_weights(features, offsets, head: AttentionHeadParams) -> np.ndarray:
-    """The (k, k) attention matrix for one window; rows sum to 1."""
-    f, offs = _check_window_args(features, offsets, head)
-    q = f @ head.W_Q
-    k = f @ head.W_K
-    z = (q @ k.T + _bias_matrix(offs, head.bias_table)) / np.sqrt(head.dim)
-    return _softmax_rows(z)
-
-
-def attend_window(features, offsets, head: AttentionHeadParams) -> np.ndarray:
-    """Self-attention over one window's real members; returns the (k, d) output."""
-    f, offs = _check_window_args(features, offsets, head)
-    a = attention_weights(f, offs, head)
-    return a @ (f @ head.W_V)
-
-
-def lwa_forward(
-    features: np.ndarray, partition: WindowPartition, params: LwaParams
-) -> list[np.ndarray]:
-    """Run every head over every window; returns L arrays of shape (M, d).
-
-    Patches in different windows never influence each other; per-head outputs
-    are produced in fixed head order for bit determinism.
+    f is the slide's (M, d) feature matrix and parts the output of
+    partition_coords. Returns the (M, d) head output and, per window, the
+    cache (idx, bias_idx, fk, q, k, v, a) the backward pass reads; a is the
+    window's (k, k) attention matrix.
     """
-    features = np.asarray(features, dtype=np.float64)
-    m = features.shape[0]
-    covered = sorted(i for w in partition.windows for i in w.member_indices)
-    if covered != list(range(m)):
-        raise ValueError("partition does not cover exactly the slide's patches")
-    outputs = []
-    for head in params.heads:
-        out = np.empty_like(features)
-        for w in partition.windows:
-            idx = np.array(w.member_indices, dtype=np.int64)
-            offs = np.array(w.local_offsets, dtype=np.int64)
-            out[idx] = attend_window(features[idx], offs, head)
-        outputs.append(out)
-    return outputs
+    s = head.window_size
+    scale = math.sqrt(head.dim)
+    out = np.empty_like(f)
+    wins = []
+    for _tile, idx, offs in parts:
+        fk = f[idx]
+        q = fk @ head.W_Q
+        k = fk @ head.W_K
+        v = fk @ head.W_V
+        d_row = offs[:, 0][:, None] - offs[:, 0][None, :]
+        d_col = offs[:, 1][:, None] - offs[:, 1][None, :]
+        bias_idx = (d_row + s - 1, d_col + s - 1)
+        z = (q @ k.T + head.bias_table[bias_idx]) / scale
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        a = e / e.sum(axis=1, keepdims=True)
+        out[idx] = a @ v
+        wins.append((idx, bias_idx, fk, q, k, v, a))
+    return out, wins

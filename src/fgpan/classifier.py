@@ -1,22 +1,14 @@
-"""Patch-level cross-modal scoring: cosine similarity against class
-prototypes, temperature-scaled softmax, and the patch cross-entropy loss."""
+"""The learnable softmax temperature of the patch-level cross-modal scores.
+
+Each patch is scored by cosine similarity against the class prototypes, and
+the scores divided by tau go through a softmax; that forward pass and its
+gradient live in training.py.
+"""
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import PrototypeSet
-
-__all__ = [
-    "TemperatureParam",
-    "PatchPrediction",
-    "patch_scores",
-    "patch_probs",
-    "patch_loss",
-]
-
-_NORM_TOL = 1e-9
+__all__ = ["TemperatureParam"]
 
 
 @dataclass
@@ -29,42 +21,3 @@ class TemperatureParam:
     @property
     def tau(self) -> float:
         return math.exp(self.log_tau)
-
-
-@dataclass(eq=False)
-class PatchPrediction:
-    """Per-patch similarity scores and the class distribution they induce."""
-
-    scores: np.ndarray
-    probs: np.ndarray
-
-
-def patch_scores(h: np.ndarray, pset: PrototypeSet) -> np.ndarray:
-    """Cosine similarity of a fused patch feature against every prototype."""
-    h = np.asarray(h, dtype=np.float64)
-    t = pset.matrix()
-    if h.shape != (pset.dim,):
-        raise ValueError(f"feature dim {h.shape} does not match prototype dim {pset.dim}")
-    norms = np.linalg.norm(t, axis=1)
-    if np.any(np.abs(norms - 1.0) > _NORM_TOL):
-        raise ValueError("prototypes must be normalized before scoring")
-    hn = float(np.linalg.norm(h))
-    if hn == 0.0:
-        raise ValueError("cannot score a zero-norm patch feature")
-    return t @ (h / hn)
-
-
-def patch_probs(s: np.ndarray, temp: TemperatureParam) -> np.ndarray:
-    """Softmax over s / tau; strictly positive and sums to 1."""
-    z = np.asarray(s, dtype=np.float64) / temp.tau
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def patch_loss(p: np.ndarray, y: int) -> float:
-    """Cross entropy -ln p_y of one patch distribution."""
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= y < p.shape[0]:
-        raise ValueError(f"label {y} outside [0, {p.shape[0]})")
-    return float(-np.log(p[y]))

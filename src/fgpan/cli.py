@@ -29,7 +29,15 @@ from .metrics import EvalRecord, auroc_ovr, balanced_accuracy, f1_scores
 from .params import init_params, load_checkpoint, save_checkpoint
 from .prototypes import interclass_distance, normalize_prototypes
 from .selection import SelectionStrategy, select_patches
-from .training import TrainConfig, finite_diff_check, forward_slide, random_instance, train
+from .training import (
+    TrainConfig,
+    desk_profile,
+    finite_diff_check,
+    forward_slide,
+    paper_profile,
+    random_instance,
+    train,
+)
 
 __all__ = ["RunConfig", "parse_config", "dispatch", "main"]
 
@@ -40,10 +48,7 @@ _SELECT_KINDS = {"all": "all", "fps": "fps_embedding", "topk": "topk_norm"}
 POS_CHOICES = ("sin", "table")
 _POS_MODES = {"sin": "sinusoidal", "table": "learned_table"}
 
-PROFILES = {
-    "desk": dict(learning_rate=1e-3, weight_decay=1e-4, batch_size=4, iterations=300),
-    "paper": dict(learning_rate=1e-5, weight_decay=1e-4, batch_size=4, iterations=20000),
-}
+PROFILES = {"desk": desk_profile, "paper": paper_profile}
 
 
 @dataclass
@@ -88,12 +93,14 @@ class RunConfig:
     seed: int = 0
 
     def train_config(self) -> TrainConfig:
-        base = dict(PROFILES[self.profile])
-        for key in ("learning_rate", "weight_decay", "batch_size", "iterations"):
-            val = getattr(self, key)
-            if val is not None:
-                base[key] = val
-        return TrainConfig(lambda_slide=self.lambda_slide, seed=self.seed, **base)
+        overrides = {
+            key: getattr(self, key)
+            for key in ("learning_rate", "weight_decay", "batch_size", "iterations")
+            if getattr(self, key) is not None
+        }
+        return PROFILES[self.profile](
+            lambda_slide=self.lambda_slide, seed=self.seed, **overrides
+        )
 
     def internal_pos_mode(self) -> str:
         return _POS_MODES[self.pos_mode]
@@ -342,7 +349,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         if s.label is None:
             raise ValueError(f"slide {s.slide_id!r} has no ground-truth label")
         truth[s.slide_id] = s.label
-    records = []
+    by_id = {}
     with open(cfg.predictions, encoding="utf-8") as fh:
         for ln in fh.read().splitlines():
             if not ln.strip():
@@ -351,9 +358,15 @@ def _cmd_eval(cfg: RunConfig) -> int:
             sid = obj["slide_id"]
             if sid not in truth:
                 raise ValueError(f"prediction for unknown slide {sid!r}")
-            records.append(
-                EvalRecord(sid, truth[sid], int(obj["predicted"]), np.asarray(obj["P"]))
+            if sid in by_id:
+                raise ValueError(f"duplicate prediction for slide {sid!r}")
+            by_id[sid] = EvalRecord(
+                sid, truth[sid], int(obj["predicted"]), np.asarray(obj["P"])
             )
+    missing = sorted(set(truth) - set(by_id))
+    if missing:
+        raise ValueError(f"no prediction for labeled slide(s) {', '.join(map(repr, missing))}")
+    records = list(by_id.values())
     bacc = balanced_accuracy(records)
     macro, weighted = f1_scores(records)
     auroc = auroc_ovr(records)

@@ -1,16 +1,16 @@
-"""Gated fusion of per-head attention outputs into one feature per patch.
+"""Parameters of the gated fusion of per-head attention outputs.
 
 Each head output is scaled by a scalar sigmoid gate (the gate projection is
 d x 1, so the gate multiplies the whole vector), the gated vectors are
-summed, and the sum is passed through a learned affine projection.
+summed, and the sum is passed through a learned affine projection. The
+forward and backward passes live in training.py.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-__all__ = ["GateParams", "FusionParams", "gate_head", "fuse_heads"]
+__all__ = ["GateParams", "FusionParams"]
 
 
 @dataclass(eq=False)
@@ -48,27 +48,3 @@ class FusionParams:
             raise ValueError("W_f must be (d, d) and b_f (d,)")
         if not (np.all(np.isfinite(self.W_f)) and np.all(np.isfinite(self.b_f))):
             raise ValueError("fusion parameters contain non-finite values")
-
-
-def gate_head(h: np.ndarray, w_g: np.ndarray, b_g: float):
-    """Scalar gate gamma = sigmoid(w_g . h + b_g); returns (gamma, gamma * h)."""
-    h = np.asarray(h, dtype=np.float64)
-    w_g = np.asarray(w_g, dtype=np.float64)
-    if h.shape != w_g.shape:
-        raise ValueError("gate weight and feature dimensions differ")
-    gamma = float(expit(float(w_g @ h) + float(b_g)))
-    return gamma, gamma * h
-
-
-def fuse_heads(gated: list[np.ndarray], fusion: FusionParams) -> np.ndarray:
-    """H = W_f (sum of gated head vectors) + b_f."""
-    if not gated:
-        raise ValueError("no gated head outputs supplied")
-    d = fusion.b_f.shape[0]
-    total = np.zeros(d)
-    for g in gated:
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (d,):
-            raise ValueError("gated vector dimension does not match fusion params")
-        total += g
-    return fusion.W_f @ total + fusion.b_f

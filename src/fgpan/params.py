@@ -16,6 +16,7 @@ import numpy as np
 from .aggregation import AggregationParams
 from .attention import AttentionHeadParams, LwaParams
 from .classifier import TemperatureParam
+from .data import _fmt
 from .fusion import FusionParams, GateParams
 
 __all__ = [
@@ -207,10 +208,6 @@ def grad_zeros(params: ModelParams) -> GradientBundle:
 def flatten_grads(grads: GradientBundle, params: ModelParams) -> np.ndarray:
     """Gradient bundle flattened in the params leaf order."""
     return np.concatenate([grads[name].ravel() for name, _ in params.leaves()])
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -1,8 +1,18 @@
-"""Shared test oracles."""
+"""Shared test oracles and builders for the running forward pass."""
 
 import math
 
 import numpy as np
+from hypothesis import settings
+
+from fgpan.attention import AttentionHeadParams
+from fgpan.data import ClassPrototype, PatchEmbedding, PrototypeSet, SlideRecord
+from fgpan.training import _forward_core
+
+# Property tests draw the same examples on every run, keep no example
+# database, and carry no per-example time limit (host speed varies).
+settings.register_profile("fgpan", derandomize=True, database=None, deadline=None)
+settings.load_profile("fgpan")
 
 
 def dense_attention_reference(features, offsets, head):
@@ -26,3 +36,39 @@ def dense_attention_reference(features, offsets, head):
         for q in range(k):
             out[p] += w[q] * (features[q] @ head.W_V)
     return out
+
+
+def random_head(rng, d, s):
+    return AttentionHeadParams(
+        rng.standard_normal((d, d)),
+        rng.standard_normal((d, d)),
+        rng.standard_normal((d, d)),
+        rng.standard_normal((2 * s - 1, 2 * s - 1)),
+    )
+
+
+def forward_cache(features, coords, params, protos, *, lwa_gff=True):
+    """The forward pass every command runs, over plain arrays: (M, d)
+    features, (M, 2) grid coordinates and unit-norm (C, d) prototype rows.
+    Returns its cache (gamma, g_sum, h, s, p, alpha, p_slide, ...)."""
+    return _forward_core(
+        np.asarray(features, dtype=np.float64),
+        np.asarray(coords, dtype=np.int64),
+        params,
+        np.asarray(protos, dtype=np.float64),
+        lwa_gff,
+    )
+
+
+def make_pset(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    return PrototypeSet(
+        rows.shape[1],
+        [ClassPrototype(i, f"c{i}", f"d{i}", r) for i, r in enumerate(rows)],
+    )
+
+
+def make_slide(features, coords, label=0):
+    features = np.asarray(features, dtype=np.float64)
+    patches = [PatchEmbedding(c, v) for c, v in zip(coords, features)]
+    return SlideRecord("s", label, features.shape[1], patches)

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import dense_attention_reference
+from conftest import dense_attention_reference, forward_cache
 
 import fgpan as fg
 from fgpan.cli import dispatch, parse_config
@@ -64,82 +64,84 @@ def test_criterion_1_gradient_oracle():
 
 
 def test_criterion_2_attention_oracle():
-    """attend_window equals a brute-force dense reference on 100 random
-    windows with k <= 4, d <= 8, to 1e-12 relative error."""
+    """window_attention, the attention the forward pass runs, equals a
+    brute-force dense reference on >= 100 random windows (k <= S^2, S in
+    {2, 3}, d <= 8) of random slides, to 1e-12 relative error."""
     with criterion(2, "attention matches dense reference <= 1e-12 on 100 windows"):
         rng = np.random.default_rng(12345)
         worst = 0.0
-        for _ in range(100):
+        windows = 0
+        while windows < 100:
             d = int(rng.integers(2, 9))
             s = int(rng.integers(2, 4))
-            k = int(rng.integers(1, 5))
             head = fg.AttentionHeadParams(
                 rng.standard_normal((d, d)),
                 rng.standard_normal((d, d)),
                 rng.standard_normal((d, d)),
                 rng.standard_normal((2 * s - 1, 2 * s - 1)),
             )
-            f = rng.standard_normal((k, d))
-            cells = rng.choice(s * s, size=k, replace=False)
-            offs = [(int(c) // s, int(c) % s) for c in cells]
-            got = fg.attend_window(f, offs, head)
-            want = dense_attention_reference(f, offs, head)
-            rel = float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-9)))
-            worst = max(worst, rel)
-            assert rel <= 1e-12, f"relative error {rel:.3e}"
-        print(f"  (worst {worst:.3e})", end=" ")
+            side = 2 * s
+            cells = rng.choice(side * side, size=int(rng.integers(1, 9)), replace=False)
+            coords = np.array([(int(c) // side, int(c) % side) for c in cells])
+            f = rng.standard_normal((len(coords), d))
+            parts = fg.partition_coords(coords, s)
+            got, _ = fg.window_attention(f, parts, head)
+            for _tile, idx, offs in parts:
+                want = dense_attention_reference(f[idx], offs, head)
+                err = np.abs(got[idx] - want) / np.maximum(np.abs(want), 1e-9)
+                rel = float(np.max(err))
+                worst = max(worst, rel)
+                assert rel <= 1e-12, f"relative error {rel:.3e}"
+                windows += 1
+        print(f"  ({windows} windows, worst {worst:.3e})", end=" ")
 
 
 def test_criterion_3_normalization_convexity():
-    """Attention rows, alpha, p, and P all sum to 1 +/- 1e-12; P stays inside
-    the per-class min/max envelope of the patch distributions."""
+    """Attention rows, alpha, p, and P of the running forward pass all sum to
+    1 +/- 1e-12; P stays inside the per-class min/max envelope of the patch
+    distributions."""
     with criterion(3, "normalization and convexity over 1000 random instances"):
         rng = np.random.default_rng(777)
+        d = 8
+        base = fg.init_params(d, 2, 2, seed=0)
+        flat = base.flatten()
         for _ in range(1000):
-            d = 8
-            k = int(rng.integers(1, 5))
             c = int(rng.integers(2, 5))
             m = int(rng.integers(1, 7))
+            params = base.with_flat(flat + rng.standard_normal(flat.size))
+            params.temp.log_tau = math.log(rng.uniform(0.01, 10))
+            cells = rng.choice(16, size=m, replace=False)
+            coords = [(int(x) // 4, int(x) % 4) for x in cells]
+            protos = rng.standard_normal((c, d))
+            protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+            cache = forward_cache(rng.standard_normal((m, d)), coords, params, protos)
 
-            head = fg.AttentionHeadParams(
-                rng.standard_normal((d, d)),
-                rng.standard_normal((d, d)),
-                rng.standard_normal((d, d)),
-                rng.standard_normal((3, 3)),
-            )
-            cells = rng.choice(4, size=k, replace=False)
-            offs = [(int(x) // 2, int(x) % 2) for x in cells]
-            a = fg.attention_weights(rng.standard_normal((k, d)), offs, head)
-            assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)
-
-            s = rng.uniform(-1, 1, size=c)
-            p = fg.patch_probs(s, fg.TemperatureParam(math.log(rng.uniform(0.01, 10))))
-            assert abs(p.sum() - 1.0) <= 1e-12
-
-            params = fg.AggregationParams(rng.standard_normal(2 * d))
-            h = rng.standard_normal((m, d))
-            coords = [(0, int(i)) for i in range(m)]
-            alpha = fg.patch_weights(h, coords, params)
-            assert abs(alpha.sum() - 1.0) <= 1e-12
-
-            probs = rng.dirichlet(np.ones(c), size=m)
-            p_slide = fg.aggregate_slide(alpha, probs)
+            for wins in cache["win_caches"]:
+                for win in wins:
+                    assert np.all(np.abs(win[6].sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all(np.abs(cache["p"].sum(axis=1) - 1.0) <= 1e-12)
+            assert abs(cache["alpha"].sum() - 1.0) <= 1e-12
+            p_slide, probs = cache["p_slide"], cache["p"]
             assert abs(p_slide.sum() - 1.0) <= 1e-12
             assert np.all(p_slide >= probs.min(axis=0) - 1e-12)
             assert np.all(p_slide <= probs.max(axis=0) + 1e-12)
 
 
 def test_criterion_4_ranking_invariance():
-    """argmax(p) == argmax(s) over 1000 random (s, tau) draws, tau in
-    [0.01, 10]: temperature never changes the decision."""
+    """argmax(p) == argmax(s) for every patch of 1000 random (slide, tau)
+    draws through the forward pass, tau in [0.01, 10]: temperature never
+    changes the decision."""
     with criterion(4, "temperature never alters the argmax, 1000 draws"):
         rng = np.random.default_rng(31337)
+        params = fg.init_params(8, 2, 1, seed=0)
         for _ in range(1000):
             c = int(rng.integers(2, 9))
-            s = rng.uniform(-1, 1, size=c)
-            tau = float(rng.uniform(0.01, 10.0))
-            p = fg.patch_probs(s, fg.TemperatureParam(math.log(tau)))
-            assert int(np.argmax(p)) == int(np.argmax(s))
+            params.temp.log_tau = math.log(float(rng.uniform(0.01, 10.0)))
+            protos = rng.standard_normal((c, 8))
+            protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+            cache = forward_cache(rng.standard_normal((4, 8)), [(0, i) for i in range(4)],
+                                  params, protos, lwa_gff=False)
+            np.testing.assert_array_equal(cache["p"].argmax(axis=1), cache["s"].argmax(axis=1))
 
 
 def test_criterion_5_zero_shot_end_to_end():

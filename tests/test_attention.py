@@ -1,68 +1,81 @@
-"""Window partitioning and local window attention, checked against an
-independent dense-attention reference."""
+"""Window partitioning and the window attention the forward pass runs,
+checked against an independent dense-attention reference."""
 
 import numpy as np
 import pytest
-from conftest import dense_attention_reference
+from conftest import dense_attention_reference, forward_cache, make_pset, make_slide, random_head
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fgpan.attention import (
-    AttentionHeadParams,
-    LwaParams,
-    attend_window,
-    attention_weights,
-    lwa_forward,
-    partition_windows,
-)
-from fgpan.data import PatchEmbedding, SlideRecord
+from fgpan.attention import AttentionHeadParams, partition_coords, window_attention
+from fgpan.params import init_params
+from fgpan.training import forward_slide
 
 
-def random_head(rng, d, s):
-    return AttentionHeadParams(
-        rng.standard_normal((d, d)),
-        rng.standard_normal((d, d)),
-        rng.standard_normal((d, d)),
-        rng.standard_normal((2 * s - 1, 2 * s - 1)),
+@st.composite
+def coords_and_s(draw, max_patches=24):
+    """Unique grid coordinates (file order random) and a window side S."""
+    s = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    cells = draw(
+        st.lists(st.integers(0, rows * cols - 1), min_size=1,
+                 max_size=min(max_patches, rows * cols), unique=True)
     )
+    return np.array([(c // cols, c % cols) for c in cells], dtype=np.int64), s
 
 
-def slide_at(coords, dim=4, seed=0):
-    rng = np.random.default_rng(seed)
-    patches = [PatchEmbedding(c, rng.standard_normal(dim)) for c in coords]
-    return SlideRecord("s", 0, dim, patches)
+def expected_windows(coords, s):
+    """Independent grouping: tile -> member indices in original order."""
+    groups = {}
+    for i, (r, c) in enumerate(coords.tolist()):
+        groups.setdefault((r // s, c // s), []).append(i)
+    return groups
+
+
+def head_outputs(f, coords, heads, s):
+    parts = partition_coords(coords, s)
+    return [window_attention(f, parts, head)[0] for head in heads]
+
+
+def attention_matrices(f, coords, head):
+    _, wins = window_attention(f, partition_coords(coords, head.window_size), head)
+    return [w[6] for w in wins]
 
 
 class TestPartition:
     def test_singleton_windows_for_s1(self):
-        s = slide_at([(0, 0), (3, 1), (7, 7)])
-        part = partition_windows(s, 1)
-        assert len(part.windows) == 3
-        assert all(len(w.member_indices) == 1 for w in part.windows)
-        assert all(w.local_offsets == [(0, 0)] for w in part.windows)
+        parts = partition_coords(np.array([(0, 0), (3, 1), (7, 7)]), 1)
+        assert len(parts) == 3
+        assert all(idx.tolist() == [i] for i, (_, idx, _) in enumerate(parts))
+        assert all(offs.tolist() == [[0, 0]] for _, _, offs in parts)
 
     def test_hand_tiling(self):
-        s = slide_at([(0, 0), (0, 1), (1, 0), (5, 5)])
-        part = partition_windows(s, 2)
-        tiles = {w.tile_index: len(w.member_indices) for w in part.windows}
-        assert tiles == {(0, 0): 3, (2, 2): 1}
+        parts = partition_coords(np.array([(0, 0), (0, 1), (1, 0), (5, 5)]), 2)
+        assert {tile: len(idx) for tile, idx, _ in parts} == {(0, 0): 3, (2, 2): 1}
 
-    def test_offsets_are_coords_mod_s(self):
-        s = slide_at([(5, 5)])
-        part = partition_windows(s, 2)
-        assert part.windows[0].local_offsets == [(1, 1)]
+    @given(coords_and_s())
+    def test_offsets_are_coords_mod_s(self, case):
+        coords, s = case
+        for tile, idx, offs in partition_coords(coords, s):
+            np.testing.assert_array_equal(offs, coords[idx] % s)
+            assert all(tuple(rc) == tile for rc in (coords[idx] // s).tolist())
 
-    def test_every_patch_in_exactly_one_window(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            cells = rng.choice(64, size=9, replace=False)
-            s = slide_at([(int(c) // 8, int(c) % 8) for c in cells], seed=int(cells[0]))
-            part = partition_windows(s, 3)
-            seen = sorted(i for w in part.windows for i in w.member_indices)
-            assert seen == list(range(9))
+    @given(coords_and_s())
+    def test_every_patch_in_exactly_one_window(self, case):
+        coords, s = case
+        seen = np.concatenate([idx for _, idx, _ in partition_coords(coords, s)])
+        assert sorted(seen.tolist()) == list(range(len(coords)))
 
-    def test_row_major_tile_order(self):
-        s = slide_at([(9, 9), (0, 0), (0, 9), (9, 0)])
-        part = partition_windows(s, 2)
-        assert [w.tile_index for w in part.windows] == [(0, 0), (0, 4), (4, 0), (4, 4)]
+    @given(coords_and_s())
+    def test_row_major_tile_order(self, case):
+        """Tiles come sorted row-major; members keep their original order."""
+        coords, s = case
+        want = expected_windows(coords, s)
+        parts = partition_coords(coords, s)
+        assert [tile for tile, _, _ in parts] == sorted(want)
+        for tile, idx, _ in parts:
+            assert idx.tolist() == want[tile]
 
 
 class TestAttendWindow:
@@ -70,9 +83,9 @@ class TestAttendWindow:
         rng = np.random.default_rng(0)
         head = random_head(rng, 4, 2)
         f = rng.standard_normal((1, 4))
-        a = attention_weights(f, [(0, 1)], head)
-        np.testing.assert_array_equal(a, [[1.0]])
-        out = attend_window(f, [(0, 1)], head)
+        coords = np.array([(0, 1)])
+        np.testing.assert_array_equal(attention_matrices(f, coords, head)[0], [[1.0]])
+        out = head_outputs(f, coords, [head], 2)[0]
         np.testing.assert_allclose(out, f @ head.W_V, rtol=1e-15)
 
     def test_identical_patches_zero_bias_gives_uniform(self):
@@ -81,75 +94,69 @@ class TestAttendWindow:
         head.bias_table[:] = 0.0
         v = rng.standard_normal(4)
         f = np.stack([v, v])
-        a = attention_weights(f, [(0, 0), (1, 1)], head)
-        np.testing.assert_allclose(a, 0.5, atol=1e-15)
-        out = attend_window(f, [(0, 0), (1, 1)], head)
+        coords = np.array([(0, 0), (1, 1)])
+        np.testing.assert_allclose(attention_matrices(f, coords, head)[0], 0.5, atol=1e-15)
+        out = head_outputs(f, coords, [head], 2)[0]
         np.testing.assert_allclose(out[0], v @ head.W_V, rtol=1e-12)
         np.testing.assert_allclose(out[1], v @ head.W_V, rtol=1e-12)
 
-    def test_matches_dense_reference(self):
-        """Vectorized path equals the scalar brute-force oracle."""
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            d = int(rng.integers(2, 9))
-            s = int(rng.integers(2, 4))
-            k = int(rng.integers(1, min(4, s * s) + 1))
-            head = random_head(rng, d, s)
-            f = rng.standard_normal((k, d))
-            cells = rng.choice(s * s, size=k, replace=False)
-            offs = [(int(c) // s, int(c) % s) for c in cells]
-            got = attend_window(f, offs, head)
-            want = dense_attention_reference(f, offs, head)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    @settings(max_examples=60)
+    @given(coords_and_s(), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, case, d, seed):
+        """Every window of the running attention equals the scalar oracle."""
+        coords, s = case
+        rng = np.random.default_rng(seed)
+        head = random_head(rng, d, s)
+        f = rng.standard_normal((len(coords), d))
+        out = head_outputs(f, coords, [head], s)[0]
+        for idx in expected_windows(coords, s).values():
+            want = dense_attention_reference(f[idx], coords[idx] % s, head)
+            np.testing.assert_allclose(out[idx], want, rtol=1e-12, atol=1e-14)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             head = random_head(rng, 5, 2)
-            k = int(rng.integers(1, 5))
-            f = rng.standard_normal((k, 5)) * 3
-            cells = rng.choice(4, size=k, replace=False)
-            offs = [(int(c) // 2, int(c) % 2) for c in cells]
-            a = attention_weights(f, offs, head)
-            np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
+            cells = rng.choice(16, size=int(rng.integers(1, 9)), replace=False)
+            coords = np.array([(int(c) // 4, int(c) % 4) for c in cells])
+            f = rng.standard_normal((len(coords), 5)) * 3
+            for a in attention_matrices(f, coords, head):
+                np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
+        """A slide whose embedding width differs from the model's is refused."""
         rng = np.random.default_rng(5)
-        head = random_head(rng, 4, 2)
-        with pytest.raises(ValueError, match="does not match head dim"):
-            attend_window(rng.standard_normal((2, 3)), [(0, 0), (0, 1)], head)
+        slide = make_slide(rng.standard_normal((2, 8)), [(0, 0), (0, 1)])
+        params = init_params(4, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="slide dim 8 does not match params dim 4"):
+            forward_slide(slide, params, make_pset(np.eye(8)[:2]))
 
 
 class TestLwaForward:
     def make(self, seed=0, dim=4, heads=2, s=2):
         rng = np.random.default_rng(seed)
         head_list = [random_head(rng, dim, s) for _ in range(heads)]
-        params = LwaParams(head_list, dim)
         cells = rng.choice(36, size=8, replace=False)
-        slide = slide_at([(int(c) // 6, int(c) % 6) for c in cells], dim, seed)
-        return slide, params
+        coords = np.array([(int(c) // 6, int(c) % 6) for c in cells])
+        return rng.standard_normal((8, dim)), coords, head_list
 
     def test_s1_reduces_to_value_projection(self):
         rng = np.random.default_rng(7)
         heads = [random_head(rng, 4, 1) for _ in range(2)]
-        params = LwaParams(heads, 4)
-        slide = slide_at([(0, 0), (1, 2), (3, 3)], 4, 7)
-        part = partition_windows(slide, 1)
-        outs = lwa_forward(slide.matrix(), part, params)
+        f = rng.standard_normal((3, 4))
+        outs = head_outputs(f, np.array([(0, 0), (1, 2), (3, 3)]), heads, 1)
         for h, head in zip(outs, heads):
-            np.testing.assert_allclose(h, slide.matrix() @ head.W_V, rtol=1e-12)
+            np.testing.assert_allclose(h, f @ head.W_V, rtol=1e-12)
 
     def test_locality(self):
         """Zeroing one window's features leaves other windows' outputs alone."""
-        slide, params = self.make(seed=8)
-        part = partition_windows(slide, 2)
-        f = slide.matrix()
-        base = lwa_forward(f, part, params)
-        first = part.windows[0].member_indices
+        f, coords, heads = self.make(seed=8)
+        base = head_outputs(f, coords, heads, 2)
+        first = partition_coords(coords, 2)[0][1]
         others = [i for i in range(f.shape[0]) if i not in first]
         f2 = f.copy()
         f2[first] = 0.0
-        perturbed = lwa_forward(f2, part, params)
+        perturbed = head_outputs(f2, coords, heads, 2)
         for h0, h1 in zip(base, perturbed):
             np.testing.assert_array_equal(h0[others], h1[others])
             assert not np.allclose(h0[first], h1[first])
@@ -158,44 +165,31 @@ class TestLwaForward:
         rng = np.random.default_rng(9)
         head = random_head(rng, 4, 2)
         f = rng.standard_normal((4, 4))
-        offs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        base = attend_window(f, offs, head)
+        coords = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+        base = head_outputs(f, coords, [head], 2)[0]
         perm = [2, 0, 3, 1]
-        permuted = attend_window(f[perm], [offs[i] for i in perm], head)
+        permuted = head_outputs(f[perm], coords[perm], [head], 2)[0]
         np.testing.assert_allclose(permuted, base[perm], rtol=1e-12, atol=1e-14)
 
     def test_translation_invariance(self):
         """Shifting all coords by whole windows preserves every output."""
-        slide, params = self.make(seed=10)
+        f, coords, heads = self.make(seed=10)
         s = 2
-        f = slide.matrix()
-        base = lwa_forward(f, partition_windows(slide, s), params)
-        shifted = SlideRecord(
-            "t",
-            slide.label,
-            slide.dim,
-            [
-                PatchEmbedding((r + 3 * s, c + 5 * s), p.vector)
-                for (r, c), p in zip(slide.coords(), slide.patches)
-            ],
-        )
-        out = lwa_forward(f, partition_windows(shifted, s), params)
+        base = head_outputs(f, coords, heads, s)
+        out = head_outputs(f, coords + np.array([3 * s, 5 * s]), heads, s)
         for h0, h1 in zip(base, out):
             np.testing.assert_array_equal(h0, h1)
 
     def test_duplicate_heads_agree(self):
-        rng = np.random.default_rng(11)
-        head = random_head(rng, 4, 2)
-        clone = AttentionHeadParams(
-            head.W_Q.copy(), head.W_K.copy(), head.W_V.copy(), head.bias_table.copy()
+        """Two heads with equal weights give equal outputs in the forward cache."""
+        params = init_params(4, 2, 2, seed=11)
+        h0, h1 = params.lwa.heads
+        params.lwa.heads[1] = AttentionHeadParams(
+            h0.W_Q.copy(), h0.W_K.copy(), h0.W_V.copy(), h0.bias_table.copy()
         )
-        params = LwaParams([head, clone], 4)
-        slide = slide_at([(0, 0), (0, 1), (2, 2)], 4, 11)
-        outs = lwa_forward(slide.matrix(), partition_windows(slide, 2), params)
-        np.testing.assert_array_equal(outs[0], outs[1])
-
-    def test_partition_mismatch_rejected(self):
-        slide, params = self.make(seed=12)
-        part = partition_windows(slide, 2)
-        with pytest.raises(ValueError, match="cover exactly"):
-            lwa_forward(slide.matrix()[:-1], part, params)
+        assert not np.array_equal(h1.W_Q, h0.W_Q)
+        rng = np.random.default_rng(11)
+        cache = forward_cache(
+            rng.standard_normal((3, 4)), [(0, 0), (0, 1), (2, 2)], params, np.eye(4)[:2]
+        )
+        np.testing.assert_array_equal(cache["heads_h"][0], cache["heads_h"][1])

@@ -189,6 +189,37 @@ class TestPipeline:
         assert code == 0
         assert '"bacc": 1.0000' in stdout
 
+    @staticmethod
+    def write_predictions(data, path, drop=0, repeat=0):
+        """Perfect predictions for every slide in data, minus the first
+        `drop` lines, plus `repeat` copies of the first line."""
+        lines = []
+        for slide_path in sorted(data.glob("*.slide")):
+            s = load_slide(slide_path)
+            p = [0.1, 0.1]
+            p[s.label] = 0.9
+            lines.append(json.dumps({"slide_id": s.slide_id, "predicted": s.label, "P": p}))
+        lines = lines[drop:] + lines[:1] * repeat
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_eval_rejects_missing_prediction(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "partial.jsonl"
+        self.write_predictions(data, preds, drop=1)
+        code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
+        assert code == 1
+        assert "no prediction for labeled slide" in err
+
+    def test_eval_rejects_duplicate_prediction(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "dup.jsonl"
+        self.write_predictions(data, preds, repeat=1)
+        code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
+        assert code == 1
+        assert "duplicate prediction for slide" in err
+
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)
         assert code == 1

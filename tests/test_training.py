@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import forward_cache
 
 from fgpan.data import (
     ClassPrototype,
@@ -14,7 +15,7 @@ from fgpan.data import (
     SyntheticConfig,
     gen_synthetic,
 )
-from fgpan.params import grad_zeros, init_params
+from fgpan.params import flatten_grads, grad_zeros, init_params
 from fgpan.training import (
     TrainConfig,
     _central_difference,
@@ -28,6 +29,30 @@ from fgpan.training import (
     total_loss,
     train,
 )
+
+
+def assert_matches_oracle(slides, params, pset, lam=1.0, step=1e-4):
+    """Every gradient scalar against central differences.
+
+    At step 1e-4 the central-difference oracle resolves roughly 1e-12
+    absolute on an O(1) loss, so components whose true gradient sits near
+    zero cannot meet a relative bound; accept absolute agreement at the
+    oracle's noise floor for those.
+    """
+    _, grads = grad_total_loss(slides, params, pset, lam)
+    analytic = flatten_grads(grads, params)
+    base = params.flatten()
+
+    def loss_at(vec):
+        return total_loss(slides, params.with_flat(vec), pset, lam)
+
+    for i in range(base.size):
+        numeric = _central_difference(loss_at, base, i, step)
+        a = analytic[i]
+        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        assert rel <= 1e-5 or abs(a - numeric) <= 1e-10, (
+            f"coordinate {i}: analytic {a:.6e}, numeric {numeric:.6e}"
+        )
 
 
 def tiny_corpus(classes=2, sigma=0.0, rho=1.0, m=9, d=8, seed=1, slides_per_class=2):
@@ -62,9 +87,10 @@ class TestForward:
     def test_single_patch_slide(self):
         slides, pset = tiny_corpus(m=1)
         params = init_params(8, 2, 2, seed=0)
-        patch_preds, pred = forward_slide(slides[0], params, pset)
+        probs, pred = forward_slide(slides[0], params, pset)
+        assert probs.shape == (1, pset.n_classes)
         np.testing.assert_array_equal(pred.alpha, [1.0])
-        np.testing.assert_allclose(pred.P, patch_preds[0].probs, atol=1e-15)
+        np.testing.assert_allclose(pred.P, probs[0], atol=1e-15)
 
     def test_fresh_params_give_uniform_alpha(self):
         slides, pset = tiny_corpus(m=9, sigma=0.3, rho=0.5)
@@ -130,6 +156,12 @@ class TestTotalLoss:
             slides, pset, params = random_instance(seed)
             assert total_loss(slides, params, pset, 1.0) >= 0.0
 
+    def test_grad_pass_returns_total_loss(self):
+        for lwa_gff in (True, False):
+            slides, pset, params = random_instance(7, randomize_params=True)
+            loss, _ = grad_total_loss(slides, params, pset, 1.0, lwa_gff=lwa_gff)
+            assert loss == total_loss(slides, params, pset, 1.0, lwa_gff=lwa_gff)
+
     def test_unlabeled_slide_rejected(self):
         slides, pset = tiny_corpus()
         bare = SlideRecord(
@@ -153,44 +185,55 @@ class TestGradients:
     @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
     def test_matches_finite_differences_at_randomized_point(self, pos_mode):
         """Randomized parameters put nonzero flow through paths that are
-        gradient-dead at fresh init (gates, aggregation w, learned table).
-
-        At step 1e-4 the central-difference oracle resolves roughly 1e-12
-        absolute on an O(1) loss, so components whose true gradient sits
-        near zero cannot meet a relative bound; accept absolute agreement
-        at the oracle's noise floor for those.
-        """
-        from fgpan.params import flatten_grads
-        from fgpan.training import _central_difference, grad_total_loss, total_loss
-
+        gradient-dead at fresh init (gates, aggregation w, learned table)."""
         slides, pset, params = random_instance(
             4, pos_mode=pos_mode, randomize_params=True
         )
-        analytic = flatten_grads(grad_total_loss(slides, params, pset, 1.0), params)
-        base = params.flatten()
+        assert_matches_oracle(slides, params, pset)
 
-        def loss_at(vec):
-            return total_loss(slides, params.with_flat(vec), pset, 1.0)
+    @pytest.mark.parametrize("tau", [1e-3, 10.0])
+    @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
+    def test_matches_finite_differences_at_extreme_tau(self, tau, pos_mode):
+        slides, pset, params = random_instance(0, pos_mode=pos_mode)
+        params.temp.log_tau = math.log(tau)
+        assert_matches_oracle(slides, params, pset)
 
-        for i in range(base.size):
-            numeric = _central_difference(loss_at, base, i, 1e-4)
-            a = analytic[i]
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            assert rel <= 1e-5 or abs(a - numeric) <= 1e-10, (
-                f"coordinate {i}: analytic {a:.6e}, numeric {numeric:.6e}"
-            )
+    @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
+    def test_matches_finite_differences_at_near_one_hot_alpha(self, pos_mode):
+        """Scaled-up aggregation weights put more than 0.95 of every
+        slide's alpha on one patch."""
+        slides, pset, params = random_instance(2, pos_mode=pos_mode, randomize_params=True)
+        params.agg.w *= 15.0
+        for s in slides:
+            cache = forward_cache(s.matrix(), s.coords(), params, pset.matrix())
+            assert cache["alpha"].max() > 0.95
+        assert_matches_oracle(slides, params, pset)
+
+    def test_finite_at_tiny_tau(self):
+        """At tau = 1e-3 under randomized parameters p_slide[y] underflows to
+        0; the log-space slide term keeps the loss and every gradient finite.
+        Divide-by-zero, overflow and invalid operations raise; underflow to 0
+        is the softmax saturating and is allowed."""
+        slides, pset, params = random_instance(0, randomize_params=True)
+        params.temp.log_tau = math.log(1e-3)
+        with np.errstate(all="raise", under="ignore"):
+            loss, grads = grad_total_loss(slides, params, pset, 1.0)
+            assert loss == total_loss(slides, params, pset, 1.0)
+        assert math.isfinite(loss)
+        assert np.all(np.isfinite(flatten_grads(grads, params)))
 
     def test_deterministic(self):
         slides, pset, params = random_instance(2)
-        a = grad_total_loss(slides, params, pset, 1.0)
-        b = grad_total_loss(slides, params, pset, 1.0)
+        loss_a, a = grad_total_loss(slides, params, pset, 1.0)
+        loss_b, b = grad_total_loss(slides, params, pset, 1.0)
+        assert loss_a == loss_b
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_unused_table_rows_get_zero_gradient(self):
         """Learned-table rows for grid cells no patch occupies never move."""
         slides, pset, params = random_instance(3, pos_mode="learned_table")
-        grads = grad_total_loss(slides, params, pset, 1.0)
+        _, grads = grad_total_loss(slides, params, pset, 1.0)
         used = set()
         for s in slides:
             for r, c in s.coords():
@@ -201,7 +244,7 @@ class TestGradients:
 
     def test_ablation_off_freezes_refinement_params(self):
         slides, pset, params = random_instance(4)
-        grads = grad_total_loss(slides, params, pset, 1.0, lwa_gff=False)
+        _, grads = grad_total_loss(slides, params, pset, 1.0, lwa_gff=False)
         for name, g in grads.items():
             if name.startswith(("lwa.", "gates.", "fusion.")):
                 np.testing.assert_array_equal(g, 0.0)
@@ -225,7 +268,7 @@ class TestGradients:
 class TestAdamW:
     def test_zero_learning_rate_is_identity(self):
         slides, pset, params = random_instance(6)
-        grads = grad_total_loss(slides, params, pset, 1.0)
+        _, grads = grad_total_loss(slides, params, pset, 1.0)
         cfg = TrainConfig(learning_rate=0.0, weight_decay=0.1)
         new, _ = adamw_step(params, grads, None, cfg)
         np.testing.assert_array_equal(new.flatten(), params.flatten())
@@ -282,6 +325,24 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.0, iterations=10, batch_size=8, seed=0)
         _, losses = train(slides, cfg, pset)
         assert max(losses) == min(losses)
+
+    def test_step_loss_is_total_loss_before_the_update(self, monkeypatch):
+        """Each step records total_loss at the pre-update params, and the
+        gradient pass runs on the same batch: two forwards per slide."""
+        import fgpan.training as tr
+
+        calls = []
+        core = tr._forward_core
+        monkeypatch.setattr(tr, "_forward_core", lambda *a: calls.append(1) or core(*a))
+        recorded = []
+        loss_fn = tr.total_loss
+        monkeypatch.setattr(
+            tr, "total_loss", lambda *a, **k: recorded.append(loss_fn(*a, **k)) or recorded[-1]
+        )
+        slides, pset = tiny_corpus(classes=2, sigma=0.1, rho=0.8, m=6, slides_per_class=3)
+        _, losses = train(slides, desk_profile(iterations=5, batch_size=4, seed=0), pset)
+        assert losses == recorded and len(losses) == 5
+        assert len(calls) == 2 * 5 * 4
 
     def test_empty_dataset_rejected(self):
         _, pset = tiny_corpus()
