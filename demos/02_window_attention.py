@@ -17,12 +17,16 @@ slides, _ = gen_synthetic(
 )
 slide = slides[0]
 f = slide.matrix()
+coords = slide.coords()
 
 S = 2
-parts = partition_coords(slide.coords(), S)
-print(f"{slide.n_patches} patches tiled into {len(parts)} windows of size {S}x{S}:")
-for tile, idx, offs in parts:
-    print(f"  tile {tile}: members {idx.tolist()} offsets {[tuple(o) for o in offs.tolist()]}")
+layout = partition_coords(coords, S)
+print(f"{slide.n_patches} patches tiled into {layout.n_windows} windows of {S}x{S} slots:")
+for w, (tile, occupied) in enumerate(zip(layout.tiles.tolist(), layout.mask)):
+    members = np.flatnonzero(layout.window == w)
+    print(f"  tile {tuple(tile)}: members {members.tolist()} "
+          f"slots {(layout.slot[members] % (S * S)).tolist()} "
+          f"occupancy {occupied.astype(int).tolist()}")
 
 rng = np.random.default_rng(0)
 d = slide.dim
@@ -36,20 +40,24 @@ heads = [
     for _ in range(2)
 ]
 
-runs = [window_attention(f, parts, head) for head in heads]
+runs = [window_attention(f, layout, head) for head in heads]
 print("per-head refined feature shapes:", [out.shape for out, _ in runs])
 
-# attention rows are probability distributions over window members
-tile0, idx0, _ = parts[0]
-a = runs[0][1][0][6]
-print("window", tile0, "attention matrix:")
-print(np.round(a, 4))
-print("row sums:", a.sum(axis=1))
+# every window is padded to S*S slots; empty key slots get zero weight and
+# the rows of empty query slots are dropped
+a = runs[0][1][3]
+print("batched attention weights:", a.shape)
+filled = layout.mask.sum(axis=1)
+w0 = int(np.flatnonzero((filled > 1) & (filled < S * S))[0])  # a partly empty window
+m0 = layout.mask[w0]
+print("window", tuple(layout.tiles[w0].tolist()), "attention among its members:")
+print(np.round(a[w0][np.ix_(m0, m0)], 4))
+print("row sums:", a[w0][m0].sum(axis=1), "weight on empty slots:", a[w0][m0][:, ~m0].sum())
 
 # locality: patches in other windows never contribute
+idx0 = np.flatnonzero(layout.window == w0)
 f2 = f.copy()
-other = [i for i in range(slide.n_patches) if i not in idx0]
-f2[other] = 0.0
-perturbed, _ = window_attention(f2, parts, heads[0])
+f2[layout.window != w0] = 0.0
+perturbed, _ = window_attention(f2, layout, heads[0])
 same = np.array_equal(runs[0][0][idx0], perturbed[idx0])
-print("first window output unchanged after zeroing every other window:", same)
+print("that window's output unchanged after zeroing every other window:", same)

@@ -11,8 +11,10 @@ from .aggregation import AggregationParams, SlidePrediction
 from .attention import (
     AttentionHeadParams,
     LwaParams,
+    WindowLayout,
     partition_coords,
     window_attention,
+    window_attention_backward,
 )
 from .classifier import TemperatureParam
 from .data import (

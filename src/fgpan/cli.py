@@ -293,7 +293,10 @@ def _cmd_train(cfg: RunConfig) -> int:
         lwa_gff=cfg.lwa_gff == "on",
     )
     save_checkpoint(params, cfg.checkpoint)
-    print(f"steps: {len(losses)} first-loss: {losses[0]!r} final-loss: {losses[-1]!r}")
+    print(
+        f"steps: {len(losses)} first-loss: {float(losses[0])!r} "
+        f"final-loss: {float(losses[-1])!r}"
+    )
     print(f"wrote checkpoint to {cfg.checkpoint}")
     return 0
 
@@ -350,19 +353,37 @@ def _cmd_eval(cfg: RunConfig) -> int:
             raise ValueError(f"slide {s.slide_id!r} has no ground-truth label")
         truth[s.slide_id] = s.label
     by_id = {}
+    n_classes = None
     with open(cfg.predictions, encoding="utf-8") as fh:
-        for ln in fh.read().splitlines():
+        for lineno, ln in enumerate(fh.read().splitlines(), 1):
             if not ln.strip():
                 continue
-            obj = json.loads(ln)
+            where = f"{cfg.predictions} line {lineno}"
+            try:
+                obj = json.loads(ln)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: malformed prediction: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: prediction is not a JSON object")
+            absent = [key for key in ("slide_id", "predicted", "P") if key not in obj]
+            if absent:
+                raise ValueError(f"{where}: prediction lacks {', '.join(absent)}")
             sid = obj["slide_id"]
-            if sid not in truth:
+            if not isinstance(sid, str) or sid not in truth:
                 raise ValueError(f"prediction for unknown slide {sid!r}")
             if sid in by_id:
                 raise ValueError(f"duplicate prediction for slide {sid!r}")
-            by_id[sid] = EvalRecord(
-                sid, truth[sid], int(obj["predicted"]), np.asarray(obj["P"])
-            )
+            try:
+                probs = np.asarray(obj["P"], dtype=np.float64)
+                if n_classes is None:
+                    n_classes = probs.size
+                if probs.shape != (n_classes,):
+                    raise ValueError(
+                        f"P has shape {probs.shape}, other rows have {n_classes} entries"
+                    )
+                by_id[sid] = EvalRecord(sid, truth[sid], int(obj["predicted"]), probs)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"slide {sid!r}: bad prediction: {exc}") from exc
     missing = sorted(set(truth) - set(by_id))
     if missing:
         raise ValueError(f"no prediction for labeled slide(s) {', '.join(map(repr, missing))}")

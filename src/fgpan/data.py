@@ -32,9 +32,10 @@ __all__ = [
 ]
 
 
-def _fmt(x) -> str:
-    """Canonical decimal for a float64 (shortest exact round-trip form)."""
-    return repr(float(x))
+def _fmt_row(values: np.ndarray) -> str:
+    """Space-separated canonical decimals of a float64 vector (shortest
+    exact round-trip form of each value)."""
+    return " ".join(map(repr, values.tolist()))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -250,12 +251,11 @@ def save_slide(record: SlideRecord, path) -> None:
         "grid_rows": record.grid_rows,
         "grid_cols": record.grid_cols,
     }
-    lines = [json.dumps(header)]
-    for p in record.patches:
-        r, c = p.coord
-        lines.append(f"{r} {c} " + " ".join(_fmt(v) for v in p.vector))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(header) + "\n")
+        for p in record.patches:
+            r, c = p.coord
+            fh.write(f"{r} {c} {_fmt_row(p.vector)}\n")
 
 
 def load_slide(path) -> SlideRecord:

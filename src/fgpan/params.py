@@ -16,7 +16,7 @@ import numpy as np
 from .aggregation import AggregationParams
 from .attention import AttentionHeadParams, LwaParams
 from .classifier import TemperatureParam
-from .data import _fmt
+from .data import _fmt_row
 from .fusion import FusionParams, GateParams
 
 __all__ = [
@@ -222,11 +222,14 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "grid_rows": params.agg.grid_rows,
         "grid_cols": params.agg.grid_cols,
     }
-    lines = [json.dumps(header)]
-    for name, arr in params.leaves():
-        lines.append(name + " " + " ".join(_fmt(v) for v in arr.ravel()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(header) + "\n")
+        for name, arr in params.leaves():
+            # one row at a time: a leaf's text never sits in memory whole
+            fh.write(name)
+            for row in arr.reshape(-1, arr.shape[-1]):
+                fh.write(" " + _fmt_row(row))
+            fh.write("\n")
 
 
 def load_checkpoint(

@@ -21,7 +21,7 @@ from .aggregation import (
     sinusoidal_embeddings,
     table_embeddings,
 )
-from .attention import partition_coords, window_attention
+from .attention import partition_coords, window_attention, window_attention_backward
 from .data import ClassPrototype, PatchEmbedding, PrototypeSet, SlideRecord
 from .params import (
     GradientBundle,
@@ -111,19 +111,19 @@ def _forward_core(
     cache: dict = {"f": f, "coords": coords, "lwa_gff": lwa_gff}
     d = params.dim
     if lwa_gff:
-        parts = partition_coords(coords, params.window_size)
+        layout = partition_coords(coords, params.window_size)
         heads_h = []
-        win_caches = []
+        attn = []
         for head in params.lwa.heads:
-            h_out, wins = window_attention(f, parts, head)
+            h_out, head_cache = window_attention(f, layout, head)
             heads_h.append(h_out)
-            win_caches.append(wins)
+            attn.append(head_cache)
         a_pre = np.stack([h @ w + b for h, w, b in
                           zip(heads_h, params.gates.w_g, params.gates.b_g)])
         gamma = expit(a_pre)  # (L, M)
         g_sum = np.einsum("lm,lmd->md", gamma, np.stack(heads_h))
         h_fused = g_sum @ params.fusion.W_f.T + params.fusion.b_f
-        cache.update(heads_h=heads_h, win_caches=win_caches, gamma=gamma, g_sum=g_sum)
+        cache.update(layout=layout, heads_h=heads_h, attn=attn, gamma=gamma, g_sum=g_sum)
     else:
         h_fused = f
     h_norm = np.linalg.norm(h_fused, axis=1)
@@ -216,23 +216,21 @@ def _backward_core(
     dg = dh @ params.fusion.W_f
 
     gamma = cache["gamma"]
-    scale = math.sqrt(d)
-    for l, (h_l, wins) in enumerate(zip(cache["heads_h"], cache["win_caches"])):
+    for l, (head, h_l, head_cache) in enumerate(
+        zip(params.lwa.heads, cache["heads_h"], cache["attn"])
+    ):
         d_gamma = (dg * h_l).sum(axis=1)
         da = gamma[l] * (1.0 - gamma[l]) * d_gamma
         grads["gates.w_g"][l] += h_l.T @ da
         grads["gates.b_g"][l] += da.sum()
         dh_l = gamma[l][:, None] * dg + da[:, None] * params.gates.w_g[l][None, :]
-        for idx, bias_idx, fk, q, k, v, a in wins:
-            do = dh_l[idx]
-            d_a = do @ v.T
-            dv = a.T @ do
-            dz_w = a * (d_a - (a * d_a).sum(axis=1, keepdims=True))
-            dz_w /= scale
-            grads[f"lwa.h{l}.W_Q"] += fk.T @ (dz_w @ k)
-            grads[f"lwa.h{l}.W_K"] += fk.T @ (dz_w.T @ q)
-            grads[f"lwa.h{l}.W_V"] += fk.T @ dv
-            np.add.at(grads[f"lwa.h{l}.bias_table"], bias_idx, dz_w)
+        d_wq, d_wk, d_wv, d_bias = window_attention_backward(
+            cache["f"], cache["layout"], head, head_cache, dh_l
+        )
+        grads[f"lwa.h{l}.W_Q"] += d_wq
+        grads[f"lwa.h{l}.W_K"] += d_wk
+        grads[f"lwa.h{l}.W_V"] += d_wv
+        grads[f"lwa.h{l}.bias_table"] += d_bias
 
 
 def forward_slide(

@@ -84,10 +84,11 @@ def test_criterion_2_attention_oracle():
             cells = rng.choice(side * side, size=int(rng.integers(1, 9)), replace=False)
             coords = np.array([(int(c) // side, int(c) % side) for c in cells])
             f = rng.standard_normal((len(coords), d))
-            parts = fg.partition_coords(coords, s)
-            got, _ = fg.window_attention(f, parts, head)
-            for _tile, idx, offs in parts:
-                want = dense_attention_reference(f[idx], offs, head)
+            layout = fg.partition_coords(coords, s)
+            got, _ = fg.window_attention(f, layout, head)
+            for w in range(layout.n_windows):
+                idx = np.flatnonzero(layout.window == w)
+                want = dense_attention_reference(f[idx], coords[idx] % s, head)
                 err = np.abs(got[idx] - want) / np.maximum(np.abs(want), 1e-9)
                 rel = float(np.max(err))
                 worst = max(worst, rel)
@@ -97,8 +98,9 @@ def test_criterion_2_attention_oracle():
 
 
 def test_criterion_3_normalization_convexity():
-    """Attention rows, alpha, p, and P of the running forward pass all sum to
-    1 +/- 1e-12; P stays inside the per-class min/max envelope of the patch
+    """Attention rows of real queries over real keys, alpha, p, and P of the
+    running forward pass all sum to 1 +/- 1e-12, empty key slots get exactly
+    zero weight; P stays inside the per-class min/max envelope of the patch
     distributions."""
     with criterion(3, "normalization and convexity over 1000 random instances"):
         rng = np.random.default_rng(777)
@@ -116,9 +118,11 @@ def test_criterion_3_normalization_convexity():
             protos /= np.linalg.norm(protos, axis=1, keepdims=True)
             cache = forward_cache(rng.standard_normal((m, d)), coords, params, protos)
 
-            for wins in cache["win_caches"]:
-                for win in wins:
-                    assert np.all(np.abs(win[6].sum(axis=1) - 1.0) <= 1e-12)
+            mask = cache["layout"].mask
+            for _q, _k, _v, a in cache["attn"]:
+                for w, m in enumerate(mask):
+                    assert np.all(np.abs(a[w][np.ix_(m, m)].sum(axis=1) - 1.0) <= 1e-12)
+                    assert np.all(a[w][:, ~m] == 0.0)
             assert np.all(np.abs(cache["p"].sum(axis=1) - 1.0) <= 1e-12)
             assert abs(cache["alpha"].sum() - 1.0) <= 1e-12
             p_slide, probs = cache["p_slide"], cache["p"]

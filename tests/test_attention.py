@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgpan.attention import AttentionHeadParams, partition_coords, window_attention
-from fgpan.params import init_params
-from fgpan.training import forward_slide
+from fgpan.params import flatten_grads, init_params
+from fgpan.training import (
+    _central_difference,
+    forward_slide,
+    grad_total_loss,
+    random_instance,
+    total_loss,
+)
 
 
 @st.composite
@@ -34,48 +40,87 @@ def expected_windows(coords, s):
 
 
 def head_outputs(f, coords, heads, s):
-    parts = partition_coords(coords, s)
-    return [window_attention(f, parts, head)[0] for head in heads]
+    layout = partition_coords(coords, s)
+    return [window_attention(f, layout, head)[0] for head in heads]
+
+
+def attention_weights(f, coords, head):
+    """The layout and the batched (n_windows, S^2, S^2) attention weights."""
+    layout = partition_coords(coords, head.window_size)
+    return layout, window_attention(f, layout, head)[1][3]
 
 
 def attention_matrices(f, coords, head):
-    _, wins = window_attention(f, partition_coords(coords, head.window_size), head)
-    return [w[6] for w in wins]
+    """Per window, the weights among its real members (slot order)."""
+    layout, a = attention_weights(f, coords, head)
+    return [a[w][np.ix_(m, m)] for w, m in enumerate(layout.mask)]
+
+
+def window_members(layout, w):
+    return np.flatnonzero(layout.window == w)
 
 
 class TestPartition:
     def test_singleton_windows_for_s1(self):
-        parts = partition_coords(np.array([(0, 0), (3, 1), (7, 7)]), 1)
-        assert len(parts) == 3
-        assert all(idx.tolist() == [i] for i, (_, idx, _) in enumerate(parts))
-        assert all(offs.tolist() == [[0, 0]] for _, _, offs in parts)
+        layout = partition_coords(np.array([(0, 0), (3, 1), (7, 7)]), 1)
+        assert layout.n_windows == 3
+        assert layout.window.tolist() == [0, 1, 2]
+        assert layout.slot.tolist() == [0, 1, 2]
+        assert layout.mask.shape == (3, 1) and layout.mask.all()
+        assert layout.bias_index.tolist() == [[0]]
 
     def test_hand_tiling(self):
-        parts = partition_coords(np.array([(0, 0), (0, 1), (1, 0), (5, 5)]), 2)
-        assert {tile: len(idx) for tile, idx, _ in parts} == {(0, 0): 3, (2, 2): 1}
+        layout = partition_coords(np.array([(0, 0), (0, 1), (1, 0), (5, 5)]), 2)
+        assert layout.tiles.tolist() == [[0, 0], [2, 2]]
+        assert layout.mask.sum(axis=1).tolist() == [3, 1]
+        assert layout.slot.tolist() == [0, 1, 2, 7]
+
+    def test_duplicate_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate patch coordinates"):
+            partition_coords(np.array([(0, 0), (1, 1), (0, 0)]), 2)
 
     @given(coords_and_s())
     def test_offsets_are_coords_mod_s(self, case):
+        """A patch's slot within its window is its offset (coords mod S);
+        its window's tile is coords // S."""
         coords, s = case
-        for tile, idx, offs in partition_coords(coords, s):
-            np.testing.assert_array_equal(offs, coords[idx] % s)
-            assert all(tuple(rc) == tile for rc in (coords[idx] // s).tolist())
+        layout = partition_coords(coords, s)
+        offs = coords % s
+        np.testing.assert_array_equal(layout.slot // (s * s), layout.window)
+        np.testing.assert_array_equal(layout.slot % (s * s), offs[:, 0] * s + offs[:, 1])
+        np.testing.assert_array_equal(layout.tiles[layout.window], coords // s)
 
     @given(coords_and_s())
     def test_every_patch_in_exactly_one_window(self, case):
+        """Slots are distinct and the occupied slots are exactly the
+        patches' slots: no patch is lost, doubled or sharing a slot."""
         coords, s = case
-        seen = np.concatenate([idx for _, idx, _ in partition_coords(coords, s)])
-        assert sorted(seen.tolist()) == list(range(len(coords)))
+        layout = partition_coords(coords, s)
+        assert layout.mask.shape == (layout.n_windows, s * s)
+        assert sorted(layout.slot.tolist()) == np.flatnonzero(layout.mask).tolist()
+        assert layout.mask.any(axis=1).all()
 
     @given(coords_and_s())
     def test_row_major_tile_order(self, case):
-        """Tiles come sorted row-major; members keep their original order."""
+        """Tiles come sorted row-major; a window's members, in original
+        order, are exactly the patches of its tile."""
         coords, s = case
         want = expected_windows(coords, s)
-        parts = partition_coords(coords, s)
-        assert [tile for tile, _, _ in parts] == sorted(want)
-        for tile, idx, _ in parts:
-            assert idx.tolist() == want[tile]
+        layout = partition_coords(coords, s)
+        assert [tuple(t) for t in layout.tiles.tolist()] == sorted(want)
+        for w, tile in enumerate(layout.tiles.tolist()):
+            assert window_members(layout, w).tolist() == want[tuple(tile)]
+
+    @given(st.integers(1, 4))
+    def test_bias_index_is_slot_displacement(self, s):
+        """One (S^2, S^2) index maps slot pairs to their relative offset."""
+        layout = partition_coords(np.array([(0, 0)]), s)
+        side = 2 * s - 1
+        for i in range(s * s):
+            for j in range(s * s):
+                dr = i // s - j // s + s - 1
+                dc = i % s - j % s + s - 1
+                assert layout.bias_index[i, j] == dr * side + dc
 
 
 class TestAttendWindow:
@@ -103,7 +148,7 @@ class TestAttendWindow:
     @settings(max_examples=60)
     @given(coords_and_s(), st.integers(2, 8), st.integers(0, 2**32 - 1))
     def test_matches_dense_reference(self, case, d, seed):
-        """Every window of the running attention equals the scalar oracle."""
+        """Every window of the batched attention equals the scalar oracle."""
         coords, s = case
         rng = np.random.default_rng(seed)
         head = random_head(rng, d, s)
@@ -114,14 +159,18 @@ class TestAttendWindow:
             np.testing.assert_allclose(out[idx], want, rtol=1e-12, atol=1e-14)
 
     def test_rows_sum_to_one(self):
+        """Real query rows sum to 1 over the real keys; empty key slots get
+        exactly zero weight."""
         rng = np.random.default_rng(3)
         for _ in range(20):
             head = random_head(rng, 5, 2)
             cells = rng.choice(16, size=int(rng.integers(1, 9)), replace=False)
             coords = np.array([(int(c) // 4, int(c) % 4) for c in cells])
             f = rng.standard_normal((len(coords), 5)) * 3
-            for a in attention_matrices(f, coords, head):
-                np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
+            layout, a = attention_weights(f, coords, head)
+            for w, m in enumerate(layout.mask):
+                np.testing.assert_allclose(a[w][np.ix_(m, m)].sum(axis=1), 1.0, atol=1e-12)
+                assert np.all(a[w][:, ~m] == 0.0)
 
     def test_dimension_mismatch(self):
         """A slide whose embedding width differs from the model's is refused."""
@@ -152,7 +201,7 @@ class TestLwaForward:
         """Zeroing one window's features leaves other windows' outputs alone."""
         f, coords, heads = self.make(seed=8)
         base = head_outputs(f, coords, heads, 2)
-        first = partition_coords(coords, 2)[0][1]
+        first = window_members(partition_coords(coords, 2), 0)
         others = [i for i in range(f.shape[0]) if i not in first]
         f2 = f.copy()
         f2[first] = 0.0
@@ -193,3 +242,61 @@ class TestLwaForward:
             rng.standard_normal((3, 4)), [(0, 0), (0, 1), (2, 2)], params, np.eye(4)[:2]
         )
         np.testing.assert_array_equal(cache["heads_h"][0], cache["heads_h"][1])
+
+
+def attention_fd_error(slides, params, pset, lam, step=1e-2):
+    """finite_diff_check's relative error, max over the attention leaves
+    (every head's W_Q, W_K, W_V and bias table), against Richardson-
+    extrapolated central differences. At tau=0.07 the loss is sharply
+    curved, and some bias-table gradients are near 1e-8: a plain central
+    difference at step 1e-4 misses both by more than 1e-5 (truncation and
+    roundoff error of the difference itself), while extrapolating from
+    steps 1e-2 and 5e-3 resolves them."""
+    _, grads = grad_total_loss(slides, params, pset, lam)
+    analytic = flatten_grads(grads, params)
+    base = params.flatten()
+
+    def loss_at(vec):
+        return total_loss(slides, params.with_flat(vec), pset, lam)
+
+    worst, pos = 0.0, 0
+    for name, arr in params.leaves():
+        if name.startswith("lwa."):
+            for i in range(pos, pos + arr.size):
+                # Richardson extrapolation cancels the h^2 truncation term
+                numeric = (
+                    4.0 * _central_difference(loss_at, base, i, step / 2)
+                    - _central_difference(loss_at, base, i, step)
+                ) / 3.0
+                a = analytic[i]
+                worst = max(worst, abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)))
+        pos += arr.size
+    return worst
+
+
+class TestWindowAttentionGradients:
+    @settings(max_examples=20)
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.sampled_from(["sinusoidal", "learned_table"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_finite_differences(self, s, rows, cols, pos_mode, seed):
+        """The batched backward's bias-table, W_Q, W_K and W_V gradients
+        agree with finite differences on random sparse slides: about a
+        third of the grid cells hold a patch, so windows are partly empty
+        and padding and masking are exercised. Parameters start at init
+        with random bias tables."""
+        slides, pset, params = random_instance(
+            seed % 1000, dim=4, window_size=s, heads=2, patches=max(1, rows * cols // 3),
+            grid_rows=rows, grid_cols=cols, pos_mode=pos_mode,
+        )
+        rng = np.random.default_rng(seed)
+        for head in params.lwa.heads:
+            head.bias_table[:] = 0.5 * rng.standard_normal(head.bias_table.shape)
+        layout = partition_coords(slides[0].coords(), s)
+        assert layout.mask.sum() == slides[0].n_patches
+        for lam in (0.0, 1.0):
+            assert attention_fd_error(slides, params, pset, lam) <= 1e-5

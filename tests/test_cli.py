@@ -1,7 +1,9 @@
 """Config parsing precedence and end-to-end command behavior."""
 
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -120,13 +122,19 @@ class TestPipeline:
 
     def test_train_infer_eval(self, corpus, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
-        code, _, err = run(
+        code, stdout, err = run(
             ["train", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
              "--checkpoint", str(ckpt), "--dim", "8", "--iterations", "10", "--seed", "1"],
             capsys,
         )
         assert code == 0, err
         assert ckpt.exists()
+        # losses print as plain decimals, never as numpy scalar reprs
+        assert "np.float64(" not in stdout
+        losses = re.fullmatch(
+            r"steps: 10 first-loss: (\S+) final-loss: (\S+)", stdout.splitlines()[-2]
+        )
+        assert all(math.isfinite(float(x)) for x in losses.groups())
 
         preds = tmp_path / "preds.jsonl"
         code, _, err = run(
@@ -190,15 +198,19 @@ class TestPipeline:
         assert '"bacc": 1.0000' in stdout
 
     @staticmethod
-    def write_predictions(data, path, drop=0, repeat=0):
+    def write_predictions(data, path, drop=0, repeat=0, edit_last=None):
         """Perfect predictions for every slide in data, minus the first
-        `drop` lines, plus `repeat` copies of the first line."""
-        lines = []
+        `drop` lines, plus `repeat` copies of the first line; edit_last, if
+        given, changes the last record in place before it is written."""
+        records = []
         for slide_path in sorted(data.glob("*.slide")):
             s = load_slide(slide_path)
             p = [0.1, 0.1]
             p[s.label] = 0.9
-            lines.append(json.dumps({"slide_id": s.slide_id, "predicted": s.label, "P": p}))
+            records.append({"slide_id": s.slide_id, "predicted": s.label, "P": p})
+        if edit_last is not None:
+            edit_last(records[-1])
+        lines = [json.dumps(r) for r in records]
         lines = lines[drop:] + lines[:1] * repeat
         path.write_text("\n".join(lines) + "\n")
 
@@ -219,6 +231,26 @@ class TestPipeline:
         code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
         assert code == 1
         assert "duplicate prediction for slide" in err
+
+    @pytest.mark.parametrize("field", ["slide_id", "predicted", "P"])
+    def test_eval_rejects_prediction_without_field(self, field, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "incomplete.jsonl"
+        self.write_predictions(data, preds, edit_last=lambda rec: rec.pop(field))
+        code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
+        assert code == 1
+        assert f"incomplete.jsonl line 4: prediction lacks {field}" in err
+
+    def test_eval_rejects_p_row_of_wrong_length(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "ragged.jsonl"
+        self.write_predictions(data, preds, edit_last=lambda rec: rec["P"].append(0.0))
+        last_id = json.loads(preds.read_text().splitlines()[-1])["slide_id"]
+        code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
+        assert code == 1
+        assert f"slide {last_id!r}: bad prediction: P has shape (3,), other rows have 2" in err
 
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)

@@ -1,9 +1,21 @@
 """Parameter initialization, flat ordering, and checkpoint IO."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgpan.params import init_params, load_checkpoint, save_checkpoint
+
+# values whose decimal text is easiest to get wrong: signed zeros, the
+# smallest subnormal and normal magnitudes, and the edges of the range
+ADVERSARIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+]
 
 
 class TestInit:
@@ -133,3 +145,36 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop agg.w
         with pytest.raises(ValueError, match="missing leaves"):
             load_checkpoint(path)
+
+
+class TestCheckpointRoundTrip:
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(["sinusoidal", "learned_table"]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_save_load_is_bitwise(self, dim, heads, s, pos_mode, rows, cols, data):
+        """save -> load reproduces flatten() bit for bit, and save -> load ->
+        save writes the same bytes, for any finite values."""
+        params = init_params(dim, s, heads, grid_rows=rows, grid_cols=cols, pos_mode=pos_mode)
+        values = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(ADVERSARIAL), st.floats(allow_nan=False,
+                                                                  allow_infinity=False)),
+                min_size=params.n_scalars, max_size=params.n_scalars,
+            )
+        )
+        params = params.with_flat(np.array(values))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+            save_checkpoint(params, first)
+            loaded = load_checkpoint(first)
+            assert loaded.flatten().tobytes() == params.flatten().tobytes()
+            save_checkpoint(loaded, second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
