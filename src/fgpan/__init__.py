@@ -19,7 +19,6 @@ from .attention import (
 from .classifier import TemperatureParam
 from .data import (
     ClassPrototype,
-    PatchEmbedding,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,

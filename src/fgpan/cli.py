@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import (
     SyntheticConfig,
+    _json_object,
     coarse_prototypes,
     gen_synthetic,
     load_prototypes,
@@ -359,12 +360,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
             if not ln.strip():
                 continue
             where = f"{cfg.predictions} line {lineno}"
-            try:
-                obj = json.loads(ln)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: malformed prediction: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: prediction is not a JSON object")
+            obj = _json_object(ln, where, "prediction")
             absent = [key for key in ("slide_id", "predicted", "P") if key not in obj]
             if absent:
                 raise ValueError(f"{where}: prediction lacks {', '.join(absent)}")

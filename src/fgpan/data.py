@@ -1,24 +1,29 @@
 """Core value types, on-disk formats, and the synthetic corpus generator.
 
+A slide is held as two column arrays (SlideRecord): coords (M, 2) int64
+and features (M, d) float64, validated once when the record is built.
+
 Slide file format (UTF-8, LF endings):
     line 1:       JSON header {"slide_id", "label", "d", "M", "grid_rows", "grid_cols"}
+                  (slide_id a string, label an integer or null, the rest integers)
     lines 2..M+1: "row col v1 ... vd" space-separated decimals
 
 Prototype file format: one JSON object per line,
     {"class_id", "name", "description", "embedding": [...]}
 
 Floats are written with the shortest round-trip decimal representation so
-identical records serialize to identical bytes.
+identical records serialize to identical bytes, and read back in bulk by
+_parse_decimals, which slide and checkpoint files share.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 __all__ = [
-    "PatchEmbedding",
     "SlideRecord",
     "ClassPrototype",
     "PrototypeSet",
@@ -38,6 +43,50 @@ def _fmt_row(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
 
 
+def _parse_decimals(tokens: list, where: str, dtype=np.float64) -> np.ndarray:
+    """Decimal text tokens (a list, or a list of equal-length rows) parsed
+    in one call; each value is what float() (or int(), for an integer
+    dtype) gives for its token. A bad token raises ValueError naming where."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _json_object(line: str, path, what: str) -> dict:
+    """The JSON object on one line of a file (a header or a record)."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: malformed {what}: not an object")
+    return obj
+
+
+_FIELD_KINDS = {
+    "int": ((int,), "an integer"),
+    "int>0": ((int,), "a positive integer"),
+    "int?": ((int, type(None)), "an integer or null"),
+    "str": ((str,), "a string"),
+}
+
+
+def _header_fields(header: dict, path, what: str, **kinds: str) -> list:
+    """The values of the named header fields, in order, each checked to be
+    of its kind in _FIELD_KINDS (a bool is never an integer)."""
+    values = []
+    for key, kind in kinds.items():
+        if key not in header:
+            raise ValueError(f"{path}: malformed {what}: missing field {key!r}")
+        types, name = _FIELD_KINDS[kind]
+        v = header[key]
+        if isinstance(v, bool) or not isinstance(v, types) or (kind == "int>0" and v < 1):
+            raise ValueError(f"{path}: malformed {what}: field {key!r} must be {name}, got {v!r}")
+        values.append(v)
+    return values
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n == 0.0:
@@ -45,96 +94,79 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-@dataclass(eq=False)
-class PatchEmbedding:
-    """One patch: integer grid coordinate plus its embedding vector."""
-
-    coord: tuple[int, int]
-    vector: np.ndarray
-
-    def __post_init__(self):
-        r, c = self.coord
-        self.coord = (int(r), int(c))
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ValueError("patch vector must be one-dimensional")
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("patch vector contains non-finite values")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PatchEmbedding)
-            and self.coord == other.coord
-            and np.array_equal(self.vector, other.vector)
-        )
-
-
-@dataclass(eq=False)
 class SlideRecord:
-    """One slide: ordered patches with unique non-negative grid coordinates."""
+    """One slide as two column arrays, row i being patch i in file order:
+    coords (M, 2) int64 grid positions and features (M, d) float64 patch
+    embeddings.
 
-    slide_id: str
-    label: int | None
-    dim: int
-    patches: list[PatchEmbedding]
-    grid_rows: int | None = None
-    grid_cols: int | None = None
+    The arrays are validated once, here: at least one patch, matching row
+    counts, finite features, non-negative and unique coordinates inside the
+    grid (grid_rows/grid_cols default to the bounding box). They are stored
+    as read-only views; coords() and matrix() return them as they are.
+    """
 
-    def __post_init__(self):
-        if not self.patches:
-            raise ValueError(f"slide {self.slide_id!r} has no patches")
-        if self.label is not None:
-            self.label = int(self.label)
-        self.dim = int(self.dim)
-        seen = set()
-        for p in self.patches:
-            if p.vector.shape != (self.dim,):
-                raise ValueError(
-                    f"slide {self.slide_id!r}: patch at {p.coord} has "
-                    f"{p.vector.shape[0]} values, expected d={self.dim}"
-                )
-            r, c = p.coord
-            if r < 0 or c < 0:
-                raise ValueError(f"slide {self.slide_id!r}: negative coordinate {p.coord}")
-            if p.coord in seen:
-                raise ValueError(f"slide {self.slide_id!r}: duplicate coordinate {p.coord}")
-            seen.add(p.coord)
-        max_r = max(p.coord[0] for p in self.patches)
-        max_c = max(p.coord[1] for p in self.patches)
-        if self.grid_rows is None:
-            self.grid_rows = max_r + 1
-        if self.grid_cols is None:
-            self.grid_cols = max_c + 1
-        self.grid_rows = int(self.grid_rows)
-        self.grid_cols = int(self.grid_cols)
+    def __init__(self, slide_id, label, coords, features, grid_rows=None, grid_cols=None):
+        self.slide_id = slide_id
+        self.label = None if label is None else int(label)
+        coords = np.asarray(coords)
+        features = np.asarray(features, dtype=np.float64)
+        if coords.size == 0:
+            raise ValueError(f"slide {slide_id!r} has no patches")
+        if features.ndim != 2:
+            raise ValueError(
+                f"slide {slide_id!r}: features must be an (M, d) array, got shape {features.shape}"
+            )
+        if coords.shape != (features.shape[0], 2) or coords.dtype.kind not in "iu":
+            raise ValueError(
+                f"slide {slide_id!r}: coords must be an (M, 2) integer array for "
+                f"M={features.shape[0]} feature rows, got {coords.dtype} {coords.shape}"
+            )
+        coords = coords.astype(np.int64, copy=False)
+        cells, counts = np.unique(coords, axis=0, return_counts=True)
+        for rows, bad, problem in (
+            (coords, ~np.isfinite(features).all(axis=1), "non-finite value at"),
+            (coords, (coords < 0).any(axis=1), "negative coordinate"),
+            (cells, counts > 1, "duplicate coordinate"),
+        ):
+            if bad.any():
+                first = tuple(rows[np.argmax(bad)].tolist())
+                raise ValueError(f"slide {slide_id!r}: {problem} {first}")
+        max_r, max_c = coords.max(axis=0).tolist()
+        self.grid_rows = max_r + 1 if grid_rows is None else int(grid_rows)
+        self.grid_cols = max_c + 1 if grid_cols is None else int(grid_cols)
         if max_r >= self.grid_rows or max_c >= self.grid_cols:
             raise ValueError(
-                f"slide {self.slide_id!r}: coordinate ({max_r},{max_c}) outside "
+                f"slide {slide_id!r}: coordinate ({max_r},{max_c}) outside "
                 f"grid {self.grid_rows}x{self.grid_cols}"
             )
+        self._coords = coords.view()
+        self._coords.flags.writeable = False
+        self._features = features.view()
+        self._features.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self._features.shape[1]
 
     @property
     def n_patches(self) -> int:
-        return len(self.patches)
+        return self._features.shape[0]
 
     def matrix(self) -> np.ndarray:
-        """Patch embeddings stacked into an (M, d) array, file order."""
-        return np.stack([p.vector for p in self.patches])
+        """The (M, d) float64 patch embeddings, file order (read-only)."""
+        return self._features
 
     def coords(self) -> np.ndarray:
-        """Patch coordinates stacked into an (M, 2) int array, file order."""
-        return np.array([p.coord for p in self.patches], dtype=np.int64)
+        """The (M, 2) int64 patch coordinates, file order (read-only)."""
+        return self._coords
 
     def __eq__(self, other):
         return (
             isinstance(other, SlideRecord)
-            and self.slide_id == other.slide_id
-            and self.label == other.label
-            and self.dim == other.dim
-            and self.grid_rows == other.grid_rows
-            and self.grid_cols == other.grid_cols
-            and len(self.patches) == len(other.patches)
-            and all(a == b for a, b in zip(self.patches, other.patches))
+            and (self.slide_id, self.label, self.grid_rows, self.grid_cols)
+            == (other.slide_id, other.label, other.grid_rows, other.grid_cols)
+            and np.array_equal(self._coords, other._coords)
+            and np.array_equal(self._features, other._features)
         )
 
 
@@ -240,9 +272,11 @@ class SyntheticConfig:
 
 def save_slide(record: SlideRecord, path) -> None:
     """Write a slide file; identical records produce identical bytes."""
-    for p in record.patches:
-        if not np.all(np.isfinite(p.vector)):
-            raise ValueError(f"slide {record.slide_id!r}: non-finite value at {p.coord}")
+    coords, features = record.coords(), record.matrix()
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        first = tuple(coords[np.argmax(bad)].tolist())
+        raise ValueError(f"slide {record.slide_id!r}: non-finite value at {first}")
     header = {
         "slide_id": record.slide_id,
         "label": record.label,
@@ -253,47 +287,39 @@ def save_slide(record: SlideRecord, path) -> None:
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header) + "\n")
-        for p in record.patches:
-            r, c = p.coord
-            fh.write(f"{r} {c} {_fmt_row(p.vector)}\n")
+        # one row per write: the slide's text never sits in memory whole
+        for (r, c), row in zip(coords.tolist(), features):
+            fh.write(f"{r} {c} {_fmt_row(row)}\n")
+
+
+_PARSE_ROWS = 256  # slide rows parsed per call: bounds the token strings alive at once
 
 
 def load_slide(path) -> SlideRecord:
     """Read a slide file, preserving patch order."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty slide file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: malformed header: not an object")
-    try:
-        slide_id = header["slide_id"]
-        label = header["label"]
-        d = int(header["d"])
-        m = int(header["M"])
-        grid_rows = int(header["grid_rows"])
-        grid_cols = int(header["grid_cols"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed header: missing field {exc}") from exc
-    body = [ln for ln in lines[1:] if ln.strip()]
+    header = _json_object(lines[0], path, "header")
+    slide_id, label, d, m, grid_rows, grid_cols = _header_fields(
+        header, path, "header",
+        slide_id="str", label="int?", d="int>0", M="int", grid_rows="int>0", grid_cols="int>0",
+    )
+    body = list(filter(str.strip, lines[1:]))  # blank lines dropped
     if len(body) != m:
         raise ValueError(f"{path}: header declares M={m} but file has {len(body)} patch rows")
-    patches = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 2 + d:
-            raise ValueError(
-                f"{path}: row has {len(parts) - 2} values, header declares d={d}"
-            )
-        coord = (int(parts[0]), int(parts[1]))
-        vec = np.array([float(s) for s in parts[2:]], dtype=np.float64)
-        patches.append(PatchEmbedding(coord, vec))
-    return SlideRecord(slide_id, label, d, patches, grid_rows, grid_cols)
+    coords = np.empty((m, 2), dtype=np.int64)
+    features = np.empty((m, d))
+    for start in range(0, m, _PARSE_ROWS):
+        rows = list(map(str.split, body[start : start + _PARSE_ROWS]))
+        ragged = set(map(len, rows)) - {2 + d}
+        if ragged:
+            raise ValueError(f"{path}: row has {min(ragged) - 2} values, header declares d={d}")
+        block = slice(start, start + len(rows))
+        coords[block] = _parse_decimals(list(map(itemgetter(0, 1), rows)), str(path), np.int64)
+        features[block] = _parse_decimals(list(map(itemgetter(slice(2, None)), rows)), str(path))
+    return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +357,7 @@ def load_prototypes(path) -> PrototypeSet:
     protos = []
     dim = None
     for i, ln in enumerate(lines):
-        try:
-            obj = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed prototype line {i + 1}: {exc}") from exc
+        obj = _json_object(ln, path, f"prototype line {i + 1}")
         try:
             cid = int(obj["class_id"])
             name = obj["name"]
@@ -381,8 +404,9 @@ def _class_directions(rng: np.random.Generator, cfg: SyntheticConfig):
     return protos, background
 
 
-def _signal_block(rng: np.random.Generator, cfg: SyntheticConfig, n_sig: int):
-    """Pick a contiguous rectangular block of n_sig grid cells."""
+def _signal_block(rng: np.random.Generator, cfg: SyntheticConfig, n_sig: int) -> np.ndarray:
+    """Pick a contiguous rectangular block of n_sig grid cells, as an
+    (n_sig, 2) array in row-major order."""
     side = math.ceil(math.sqrt(n_sig))
     block_rows = min(side, cfg.grid_rows)
     block_cols = math.ceil(n_sig / block_rows)
@@ -391,9 +415,8 @@ def _signal_block(rng: np.random.Generator, cfg: SyntheticConfig, n_sig: int):
         block_rows = math.ceil(n_sig / block_cols)
     anchor_r = int(rng.integers(0, cfg.grid_rows - block_rows + 1))
     anchor_c = int(rng.integers(0, cfg.grid_cols - block_cols + 1))
-    return [
-        (anchor_r + t // block_cols, anchor_c + t % block_cols) for t in range(n_sig)
-    ]
+    t = np.arange(n_sig)
+    return np.stack([anchor_r + t // block_cols, anchor_c + t % block_cols], axis=1)
 
 
 def gen_synthetic(cfg: SyntheticConfig) -> tuple[list[SlideRecord], PrototypeSet]:
@@ -418,40 +441,33 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[list[SlideRecord], PrototypeSet
             for c in range(cfg.classes)
         ],
     )
-    all_cells = [
-        (r, c) for r in range(cfg.grid_rows) for c in range(cfg.grid_cols)
-    ]
+    all_cells = np.arange(cfg.grid_rows * cfg.grid_cols)  # row-major cell keys
     m = cfg.patches_per_slide
     n_sig = math.ceil(cfg.signal_fraction * m)
+    n_bg = m - n_sig
     slides = []
     for c in range(cfg.classes):
         for j in range(cfg.slides_per_class):
-            signal_cells = _signal_block(rng, cfg, n_sig)
-            taken = set(signal_cells)
-            remaining = [cell for cell in all_cells if cell not in taken]
-            n_bg = m - n_sig
+            signal = _signal_block(rng, cfg, n_sig)
+            remaining = np.setdiff1d(all_cells, signal[:, 0] * cfg.grid_cols + signal[:, 1])
+            bg = remaining[:0]
             if n_bg:
-                chosen = rng.choice(len(remaining), size=n_bg, replace=False)
-                bg_cells = [remaining[i] for i in sorted(chosen)]
+                bg = remaining[np.sort(rng.choice(len(remaining), size=n_bg, replace=False))]
+            coords = np.concatenate([signal, np.stack(np.divmod(bg, cfg.grid_cols), axis=1)])
+            # one draw, row by row, is the stream of one draw per patch
+            g = rng.standard_normal((m, cfg.dim))
+            if cfg.noise_sigma > 0:
+                # per-vector norms: a batched norm rounds differently
+                sig = np.stack([_unit(v) for v in protos[c] + cfg.noise_sigma * g[:n_sig]])
             else:
-                bg_cells = []
-            patches = []
-            for cell in signal_cells:
-                g = rng.standard_normal(cfg.dim)
-                if cfg.noise_sigma > 0:
-                    vec = _unit(protos[c] + cfg.noise_sigma * g)
-                else:
-                    vec = protos[c]  # exact noise-free limit, no renormalization drift
-                patches.append(PatchEmbedding(cell, vec))
-            for cell in bg_cells:
-                g = rng.standard_normal(cfg.dim)
-                patches.append(PatchEmbedding(cell, background + cfg.noise_sigma * g))
+                sig = np.tile(protos[c], (n_sig, 1))  # exact noise-free limit
+            features = np.concatenate([sig, background + cfg.noise_sigma * g[n_sig:]])
             slides.append(
                 SlideRecord(
                     f"syn_c{c:02d}_s{j:03d}",
                     c,
-                    cfg.dim,
-                    patches,
+                    coords,
+                    features,
                     cfg.grid_rows,
                     cfg.grid_cols,
                 )

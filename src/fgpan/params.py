@@ -16,7 +16,7 @@ import numpy as np
 from .aggregation import AggregationParams
 from .attention import AttentionHeadParams, LwaParams
 from .classifier import TemperatureParam
-from .data import _fmt_row
+from .data import _fmt_row, _header_fields, _json_object, _parse_decimals
 from .fusion import FusionParams, GateParams
 
 __all__ = [
@@ -244,10 +244,7 @@ def load_checkpoint(
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty checkpoint")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
+    header = _json_object(lines[0], path, "checkpoint header")
     if header.get("format") != "fgpan-checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
@@ -255,12 +252,13 @@ def load_checkpoint(
             f"{path}: checkpoint version {header.get('version')} "
             f"not supported (expected {CHECKPOINT_VERSION})"
         )
-    dim = int(header["dim"])
-    window_size = int(header["window_size"])
-    heads = int(header["heads"])
-    pos_mode = header["pos_mode"]
-    grid_rows = header["grid_rows"]
-    grid_cols = header["grid_cols"]
+    dim, window_size, heads, pos_mode, grid_rows, grid_cols = _header_fields(
+        header, path, "checkpoint header",
+        dim="int>0", window_size="int>0", heads="int>0", pos_mode="str",
+        grid_rows="int?", grid_cols="int?",
+    )
+    if pos_mode == "learned_table" and (grid_rows is None or grid_cols is None):
+        raise ValueError(f"{path}: learned_table checkpoint without grid dims")
     for label, got, want in (
         ("dim", dim, expect_dim),
         ("window_size", window_size, expect_window_size),
@@ -291,7 +289,7 @@ def load_checkpoint(
         if name not in shapes:
             raise ValueError(f"{path}: unexpected checkpoint leaf {name!r}")
         shape = shapes[name]
-        vals = np.array([float(s) for s in rest.split()], dtype=np.float64)
+        vals = _parse_decimals(rest.split(), f"{path}: leaf {name!r}")
         if vals.size != int(np.prod(shape)):
             raise ValueError(f"{path}: leaf {name!r} has {vals.size} values, expected {shape}")
         pieces[name] = vals.reshape(shape)

@@ -43,21 +43,19 @@ def _fps_indices(x: np.ndarray, m: int) -> list[int]:
 
 def select_patches(slide: SlideRecord, strategy: SelectionStrategy) -> SlideRecord:
     """Keep min(m_max, M) patches; output order follows original patch order."""
-    m_total = slide.n_patches
-    m = min(strategy.m_max, m_total)
+    m = min(strategy.m_max, slide.n_patches)
     if strategy.kind == "all":
-        idx = list(range(m))
+        idx = np.arange(m)
     elif strategy.kind == "topk_norm":
         norms = np.linalg.norm(slide.matrix(), axis=1)
-        order = np.argsort(-norms, kind="stable")[:m]
-        idx = sorted(int(i) for i in order)
+        idx = np.sort(np.argsort(-norms, kind="stable")[:m])
     else:  # fps_embedding
-        idx = sorted(_fps_indices(slide.matrix(), m))
+        idx = np.sort(_fps_indices(slide.matrix(), m))
     return SlideRecord(
         slide.slide_id,
         slide.label,
-        slide.dim,
-        [slide.patches[i] for i in idx],
+        slide.coords()[idx],
+        slide.matrix()[idx],
         slide.grid_rows,
         slide.grid_cols,
     )

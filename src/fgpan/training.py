@@ -22,7 +22,7 @@ from .aggregation import (
     table_embeddings,
 )
 from .attention import partition_coords, window_attention, window_attention_backward
-from .data import ClassPrototype, PatchEmbedding, PrototypeSet, SlideRecord
+from .data import ClassPrototype, PrototypeSet, SlideRecord
 from .params import (
     GradientBundle,
     ModelParams,
@@ -470,22 +470,11 @@ def random_instance(
     rng = np.random.default_rng(seed)
     slides = []
     for j in range(n_slides):
-        cells = sorted(rng.choice(grid_rows * grid_cols, size=patches, replace=False))
+        cells = np.sort(rng.choice(grid_rows * grid_cols, size=patches, replace=False))
         feats = rng.standard_normal((patches, dim))
         label = int(rng.integers(classes))
-        slides.append(
-            SlideRecord(
-                f"rand_{seed}_{j}",
-                label,
-                dim,
-                [
-                    PatchEmbedding((int(c) // grid_cols, int(c) % grid_cols), feats[i])
-                    for i, c in enumerate(cells)
-                ],
-                grid_rows,
-                grid_cols,
-            )
-        )
+        coords = np.stack(np.divmod(cells, grid_cols), axis=1)
+        slides.append(SlideRecord(f"rand_{seed}_{j}", label, coords, feats, grid_rows, grid_cols))
     raw = rng.standard_normal((classes, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     pset = PrototypeSet(

@@ -6,13 +6,20 @@ import numpy as np
 from hypothesis import settings
 
 from fgpan.attention import AttentionHeadParams
-from fgpan.data import ClassPrototype, PatchEmbedding, PrototypeSet, SlideRecord
+from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
 from fgpan.training import _forward_core
 
 # Property tests draw the same examples on every run, keep no example
 # database, and carry no per-example time limit (host speed varies).
 settings.register_profile("fgpan", derandomize=True, database=None, deadline=None)
 settings.load_profile("fgpan")
+
+# values whose decimal text is easiest to get wrong: signed zeros, the
+# smallest subnormal and normal magnitudes, and the edges of the range
+ADVERSARIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+]
 
 
 def dense_attention_reference(features, offsets, head):
@@ -69,6 +76,4 @@ def make_pset(rows):
 
 
 def make_slide(features, coords, label=0):
-    features = np.asarray(features, dtype=np.float64)
-    patches = [PatchEmbedding(c, v) for c, v in zip(coords, features)]
-    return SlideRecord("s", label, features.shape[1], patches)
+    return SlideRecord("s", label, coords, features)

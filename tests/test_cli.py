@@ -252,6 +252,27 @@ class TestPipeline:
         assert code == 1
         assert f"slide {last_id!r}: bad prediction: P has shape (3,), other rows have 2" in err
 
+    def test_eval_rejects_line_that_is_not_an_object(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "listed.jsonl"
+        self.write_predictions(data, preds)
+        preds.write_text(preds.read_text() + "[1, 2]\n")
+        code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
+        assert code == 1
+        assert "listed.jsonl line 5: malformed prediction: not an object" in err
+
+    def test_infer_rejects_checkpoint_header_without_dims(self, corpus, tmp_path, capsys):
+        ckpt = tmp_path / "bare.ckpt"
+        ckpt.write_text('{"format": "fgpan-checkpoint", "version": 1}\n')
+        code, _, err = run(
+            ["infer", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--dim", "8", "--out", str(tmp_path / "p.jsonl")],
+            capsys,
+        )
+        assert code == 1
+        assert "malformed checkpoint header: missing field 'dim'" in err
+
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)
         assert code == 1

@@ -1,11 +1,17 @@
 """Value types, file round-trips, and the synthetic generator."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from conftest import ADVERSARIAL
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgpan.data import (
     ClassPrototype,
-    PatchEmbedding,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,
@@ -18,36 +24,57 @@ from fgpan.data import (
 )
 
 
-def make_slide(slide_id="s0", label=1, dim=3):
-    patches = [
-        PatchEmbedding((0, 0), [1.0, 0.5, -0.25]),
-        PatchEmbedding((0, 1), [0.125, 2.0, 3.0]),
-        PatchEmbedding((2, 3), [-1.0, 0.0, 1e-17]),
-    ]
-    return SlideRecord(slide_id, label, dim, patches, 4, 4)
+def make_slide(slide_id="s0", label=1):
+    coords = [(0, 0), (0, 1), (2, 3)]
+    features = [[1.0, 0.5, -0.25], [0.125, 2.0, 3.0], [-1.0, 0.0, 1e-17]]
+    return SlideRecord(slide_id, label, coords, features, 4, 4)
+
+
+HEADER = '{"slide_id": "x", "label": 0, "d": 3, "M": 2, "grid_rows": 2, "grid_cols": 2}'
 
 
 class TestSlideInvariants:
     def test_empty_slide_rejected(self):
         with pytest.raises(ValueError, match="no patches"):
-            SlideRecord("s", 0, 3, [])
+            SlideRecord("s", 0, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3)))
 
     def test_duplicate_coords_rejected(self):
-        patches = [PatchEmbedding((0, 0), [1.0]), PatchEmbedding((0, 0), [2.0])]
-        with pytest.raises(ValueError, match="duplicate"):
-            SlideRecord("s", 0, 1, patches)
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
+            SlideRecord("s", 0, [(0, 0), (0, 1), (0, 0)], [[1.0], [2.0], [3.0]])
 
     def test_negative_coords_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            SlideRecord("s", 0, 1, [PatchEmbedding((-1, 0), [1.0])])
+        with pytest.raises(ValueError, match=r"negative coordinate \(-1, 0\)"):
+            SlideRecord("s", 0, [(-1, 0)], [[1.0]])
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="expected d=2"):
-            SlideRecord("s", 0, 2, [PatchEmbedding((0, 0), [1.0])])
+        """A feature vector without its d axis is not an (M, d) matrix."""
+        with pytest.raises(ValueError, match=r"features must be an \(M, d\) array"):
+            SlideRecord("s", 0, [(0, 0)], [1.0])
+
+    @pytest.mark.parametrize(
+        "coords",
+        [[(0, 0)], [(0, 0, 0), (0, 1, 0)], [(0.0, 0.0), (0.0, 1.0)]],
+        ids=["fewer-rows", "three-columns", "float"],
+    )
+    def test_coords_shape_and_dtype_rejected(self, coords):
+        with pytest.raises(ValueError, match=r"coords must be an \(M, 2\) integer array"):
+            SlideRecord("s", 0, coords, [[1.0], [2.0]])
+
+    def test_out_of_grid_rejected(self):
+        with pytest.raises(ValueError, match="outside grid 2x2"):
+            SlideRecord("s", 0, [(0, 0), (1, 2)], [[1.0], [2.0]], 2, 2)
 
     def test_non_finite_vector_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            PatchEmbedding((0, 0), [1.0, np.nan])
+        with pytest.raises(ValueError, match=r"non-finite value at \(0, 1\)"):
+            SlideRecord("s", 0, [(0, 0), (0, 1)], [[1.0, 2.0], [1.0, np.nan]])
+
+    def test_columns_are_stored_once(self):
+        s = make_slide()
+        assert s.matrix() is s.matrix() and s.coords() is s.coords()
+        assert s.matrix().dtype == np.float64 and s.coords().dtype == np.int64
+        assert (s.n_patches, s.dim) == (3, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            s.matrix()[0, 0] = 2.0
 
 
 class TestSlideFiles:
@@ -72,10 +99,12 @@ class TestSlideFiles:
         assert back.label is None and back == s
 
     def test_non_finite_rejected_before_write(self, tmp_path):
-        s = make_slide()
-        s.patches[0].vector[1] = np.inf  # mutated after construction
-        with pytest.raises(ValueError, match="non-finite"):
+        features = np.array([[1.0, 0.5], [0.125, 2.0]])
+        s = SlideRecord("s", 0, [(0, 0), (0, 1)], features)
+        features[1, 0] = np.inf  # the caller's array, mutated after construction
+        with pytest.raises(ValueError, match=r"non-finite value at \(0, 1\)"):
             save_slide(s, tmp_path / "bad.slide")
+        assert not (tmp_path / "bad.slide").exists()
 
     def test_header_dim_mismatch(self, tmp_path):
         path = tmp_path / "bad.slide"
@@ -88,6 +117,47 @@ class TestSlideFiles:
         path = tmp_path / "bad.slide"
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="malformed header"):
+            load_slide(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("label", 1.5), ("label", True), ("grid_rows", 2.7), ("grid_cols", None),
+            ("d", "3"), ("M", 2.0), ("slide_id", 7), ("d", 0), ("d", -1), ("grid_rows", 0),
+        ],
+    )
+    def test_header_field_types(self, tmp_path, field, value):
+        header = json.loads(HEADER)
+        header[field] = value
+        path = tmp_path / "bad.slide"
+        path.write_text(json.dumps(header) + "\n0 0 1.0 2.0 3.0\n0 1 4.0 5.0 6.0\n")
+        with pytest.raises(ValueError, match=f"malformed header: field '{field}' must be"):
+            load_slide(path)
+
+    def test_header_missing_field(self, tmp_path):
+        path = tmp_path / "bad.slide"
+        path.write_text(HEADER.replace('"grid_cols": 2', '"cols": 2') + "\n")
+        with pytest.raises(ValueError, match="missing field 'grid_cols'"):
+            load_slide(path)
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("0 0 1.0 x 3.0\n0 1 4.0 5.0 6.0\n",
+             r"bad\.slide: could not convert string to float: 'x'"),
+            ("0 0.5 1.0 2.0 3.0\n0 1 4.0 5.0 6.0\n", r"bad\.slide: invalid literal for int\(\)"),
+            ("0 0 1.0 2.0 3.0 4.0\n0 1 5.0 6.0\n", "row has 2 values, header declares d=3"),
+            ("0 0 1.0 2.0 3.0 4.0\n0 1 4.0 5.0 6.0\n", "row has 4 values, header declares d=3"),
+            ("0 0 1.0 2.0 3.0\n", "header declares M=2 but file has 1 patch rows"),
+            ("0 0 1.0 2.0 3.0\n0 0 4.0 5.0 6.0\n", "duplicate coordinate"),
+        ],
+        ids=["float-token", "coordinate-token", "ragged-compensating", "ragged", "short",
+             "duplicate"],
+    )
+    def test_bad_body_rejected(self, tmp_path, body, match):
+        path = tmp_path / "bad.slide"
+        path.write_text(HEADER + "\n" + body)
+        with pytest.raises(ValueError, match=match):
             load_slide(path)
 
     def test_missing_file(self, tmp_path):
@@ -103,6 +173,39 @@ class TestSlideFiles:
         path = tmp_path / "big.slide"
         save_slide(slides[0], path)
         assert load_slide(path).n_patches == 300
+
+
+class TestSlideRoundTrip:
+    @settings(max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_save_load_is_bitwise(self, rows, cols, d, data):
+        """save -> load gives bitwise-equal coords() and matrix(), and
+        save -> load -> save writes the same bytes, for sparse coordinates
+        and any finite values."""
+        cells = data.draw(
+            st.lists(st.integers(0, rows * cols - 1), min_size=1, max_size=rows * cols,
+                     unique=True)
+        )
+        values = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(ADVERSARIAL), st.floats(allow_nan=False,
+                                                                  allow_infinity=False)),
+                min_size=len(cells) * d, max_size=len(cells) * d,
+            )
+        )
+        label = data.draw(st.none() | st.integers(0, 9))
+        coords = np.stack(np.divmod(np.array(cells), cols), axis=1)
+        s = SlideRecord("s", label, coords, np.reshape(values, (len(cells), d)), rows, cols)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.slide"), os.path.join(tmp, "b.slide")
+            save_slide(s, first)
+            back = load_slide(first)
+            assert back.coords().tobytes() == s.coords().tobytes()
+            assert back.matrix().tobytes() == s.matrix().tobytes()
+            assert back == s
+            save_slide(back, second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
 
 
 class TestPrototypeFiles:
@@ -168,8 +271,8 @@ class TestSyntheticGenerator:
         slides, pset = gen_synthetic(cfg)
         for s in slides:
             proto = pset.prototypes[s.label].embedding
-            for p in s.patches:
-                np.testing.assert_array_equal(p.vector, proto)
+            for vector in s.matrix():
+                np.testing.assert_array_equal(vector, proto)
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         cfg = SyntheticConfig(
@@ -209,8 +312,8 @@ class TestSyntheticGenerator:
         t = pset.matrix()
         n_sig = 5
         for s in slides:
-            for p in s.patches[:n_sig]:
-                sims = t @ p.vector
+            for vector in s.matrix()[:n_sig]:
+                sims = t @ vector
                 assert int(np.argmax(sims)) == s.label
 
     def test_signal_block_is_contiguous(self):
@@ -220,7 +323,7 @@ class TestSyntheticGenerator:
         )
         slides, _ = gen_synthetic(cfg)
         for s in slides:
-            sig = np.array([p.coord for p in s.patches[:4]])
+            sig = s.coords()[:4]
             assert sig[:, 0].max() - sig[:, 0].min() <= 1
             assert sig[:, 1].max() - sig[:, 1].min() <= 1
 

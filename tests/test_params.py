@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgpan.params import init_params, load_checkpoint, save_checkpoint
+from conftest import ADVERSARIAL
 
-# values whose decimal text is easiest to get wrong: signed zeros, the
-# smallest subnormal and normal magnitudes, and the edges of the range
-ADVERSARIAL = [
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
-    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
-]
+from fgpan.params import init_params, load_checkpoint, save_checkpoint
 
 
 class TestInit:
@@ -135,6 +130,47 @@ class TestCheckpoint:
             '"grid_rows": null, "grid_cols": null}\n'
         )
         with pytest.raises(ValueError, match="version 99"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ('[1, 2]', "malformed checkpoint header: not an object"),
+            ('{"format": "fgpan-checkpoint", "version": 1}', "missing field 'dim'"),
+            (
+                '{"format": "fgpan-checkpoint", "version": 1, "dim": 2, "window_size": 1, '
+                '"heads": 1, "pos_mode": "sinusoidal", "grid_rows": null}',
+                "missing field 'grid_cols'",
+            ),
+            (
+                '{"format": "fgpan-checkpoint", "version": 1, "dim": null, "window_size": 1, '
+                '"heads": 1, "pos_mode": "sinusoidal", "grid_rows": null, "grid_cols": null}',
+                "field 'dim' must be a positive integer",
+            ),
+            (
+                '{"format": "fgpan-checkpoint", "version": 1, "dim": 2, "window_size": 1, '
+                '"heads": 0, "pos_mode": "sinusoidal", "grid_rows": null, "grid_cols": null}',
+                "field 'heads' must be a positive integer",
+            ),
+            (
+                '{"format": "fgpan-checkpoint", "version": 1, "dim": 2, "window_size": 1, '
+                '"heads": 1, "pos_mode": "learned_table", "grid_rows": null, "grid_cols": null}',
+                "learned_table checkpoint without grid dims",
+            ),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    def test_bad_value_names_file_and_leaf(self, tmp_path):
+        p = init_params(4, 2, 1, seed=0)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        path.write_text(path.read_text().replace("agg.w ", "agg.w oops ", 1))
+        with pytest.raises(ValueError, match=r"ckpt\.txt: leaf 'agg\.w': could not convert"):
             load_checkpoint(path)
 
     def test_missing_leaf_rejected(self, tmp_path):

@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from fgpan.data import PatchEmbedding, SlideRecord
+from fgpan.data import SlideRecord
 from fgpan.selection import SelectionStrategy, select_patches
 
 
-def slide_from_vectors(vectors, dim):
-    patches = [PatchEmbedding((0, i), v) for i, v in enumerate(vectors)]
-    return SlideRecord("s", 0, dim, patches)
+def slide_from_vectors(vectors):
+    return SlideRecord("s", 0, [(0, i) for i in range(len(vectors))], vectors)
 
 
 def random_slide(rng, m=12, dim=5):
     cells = rng.choice(100, size=m, replace=False)
-    patches = [
-        PatchEmbedding((int(c) // 10, int(c) % 10), rng.standard_normal(dim))
-        for c in cells
-    ]
-    return SlideRecord("r", 0, dim, patches, 10, 10)
+    features = rng.standard_normal((m, dim))
+    return SlideRecord("r", 0, np.stack(np.divmod(cells, 10), axis=1), features, 10, 10)
 
 
 class TestBounds:
@@ -41,15 +37,15 @@ class TestHandCases:
     def test_fps_picks_extremes(self):
         """1-d embeddings {0, 1, 10}: the centroid is 11/3, so the seed is 10
         and the next farthest-from-selected patch is 0."""
-        s = slide_from_vectors([[0.0], [1.0], [10.0]], 1)
+        s = slide_from_vectors([[0.0], [1.0], [10.0]])
         out = select_patches(s, SelectionStrategy("fps_embedding", 2))
-        kept = sorted(float(p.vector[0]) for p in out.patches)
+        kept = sorted(out.matrix()[:, 0].tolist())
         assert kept == [0.0, 10.0]
 
     def test_topk_keeps_largest_norm(self):
-        s = slide_from_vectors([[0.5], [2.0], [1.0]], 1)
+        s = slide_from_vectors([[0.5], [2.0], [1.0]])
         out = select_patches(s, SelectionStrategy("topk_norm", 1))
-        assert float(out.patches[0].vector[0]) == 2.0
+        assert out.matrix().tolist() == [[2.0]]
 
 
 class TestProperties:
@@ -69,20 +65,20 @@ class TestProperties:
         s = random_slide(rng)
         out = select_patches(s, SelectionStrategy(kind, 6))
         positions = []
-        for p in out.patches:
-            matches = [i for i, q in enumerate(s.patches) if q == p]
-            assert matches, "output patch not found in the input"
-            positions.append(matches[0])
+        for coord, vec in zip(out.coords(), out.matrix()):
+            same = (s.coords() == coord).all(axis=1) & (s.matrix() == vec).all(axis=1)
+            assert same.any(), "output patch not found in the input"
+            positions.append(int(np.argmax(same)))
         assert positions == sorted(positions)
 
     def test_topk_ties_break_to_lowest_index(self):
-        s = slide_from_vectors([[2.0], [-2.0], [1.0]], 1)
+        s = slide_from_vectors([[2.0], [-2.0], [1.0]])
         out = select_patches(s, SelectionStrategy("topk_norm", 1))
-        assert [p.coord for p in out.patches] == [(0, 0)]
+        assert out.coords().tolist() == [[0, 0]]
         # full tie: the first m_max patches survive
-        s = slide_from_vectors([[1.0], [-1.0], [1.0]], 1)
+        s = slide_from_vectors([[1.0], [-1.0], [1.0]])
         out = select_patches(s, SelectionStrategy("topk_norm", 2))
-        assert [p.coord for p in out.patches] == [(0, 0), (0, 1)]
+        assert out.coords().tolist() == [[0, 0], [0, 1]]
 
     def test_kind_validated(self):
         with pytest.raises(ValueError, match="unknown selection kind"):

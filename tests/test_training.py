@@ -9,7 +9,6 @@ from conftest import forward_cache
 
 from fgpan.data import (
     ClassPrototype,
-    PatchEmbedding,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,
@@ -165,7 +164,7 @@ class TestTotalLoss:
     def test_unlabeled_slide_rejected(self):
         slides, pset = tiny_corpus()
         bare = SlideRecord(
-            "u", None, slides[0].dim, slides[0].patches,
+            "u", None, slides[0].coords(), slides[0].matrix(),
             slides[0].grid_rows, slides[0].grid_cols,
         )
         params = init_params(8, 2, 2, seed=0)
