@@ -310,6 +310,8 @@ def _infer_params(cfg: RunConfig, slides):
             expect_window_size=cfg.window_size,
             expect_heads=cfg.heads,
         )
+    print(f"note: no --checkpoint; using fresh-init parameters (seed {cfg.seed})",
+          file=sys.stderr)
     grid_rows = max(s.grid_rows for s in slides)
     grid_cols = max(s.grid_cols for s in slides)
     return init_params(

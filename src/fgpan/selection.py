@@ -29,21 +29,31 @@ def _fps_indices(x: np.ndarray, m: int) -> list[int]:
     """Farthest-point sampling on embeddings, seeded from the centroid.
 
     Ties resolve to the lowest original index (argmax picks the first max).
+    Picked indices carry distance -1, so no index is picked twice, even
+    when every remaining distance is 0 (duplicate embeddings).
     """
     centroid = x.mean(axis=0)
     seed = int(np.argmax(np.linalg.norm(x - centroid, axis=1)))
     selected = [seed]
     min_dist = np.linalg.norm(x - x[seed], axis=1)
+    min_dist[seed] = -1.0
     while len(selected) < m:
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
         min_dist = np.minimum(min_dist, np.linalg.norm(x - x[nxt], axis=1))
+        min_dist[nxt] = -1.0
     return selected
 
 
 def select_patches(slide: SlideRecord, strategy: SelectionStrategy) -> SlideRecord:
-    """Keep min(m_max, M) patches; output order follows original patch order."""
+    """Keep min(m_max, M) patches; output order follows original patch order.
+
+    With m_max >= M every strategy keeps every patch, so the slide is
+    returned as it is (its arrays are read-only).
+    """
     m = min(strategy.m_max, slide.n_patches)
+    if m == slide.n_patches:
+        return slide
     if strategy.kind == "all":
         idx = np.arange(m)
     elif strategy.kind == "topk_norm":

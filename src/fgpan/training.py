@@ -8,6 +8,12 @@ backward pass is hand-derived reverse-mode differentiation of that pipeline
 and of the patch + slide cross entropy, the slide term taken in log space.
 Its contract is agreement with central finite differences to 1e-5 relative
 error in double precision.
+
+total_loss and grad_total_loss run a batch as stacks: consecutive slides
+whose rows together fit in _STACK_ROWS share one forward (and one backward)
+over their concatenated rows, each slide moved to its own band of the
+window grid so no window spans two slides. Only the aggregation softmax,
+the slide distribution and the cross entropies are taken slide by slide.
 """
 
 import math
@@ -44,6 +50,13 @@ __all__ = [
     "train",
     "random_instance",
 ]
+
+# Row budget of one stack. Small slides share a forward and backward pass,
+# which saves per-call overhead; larger ones run alone, because a pass's
+# intermediates grow with its rows: one gradient pass over two stacked
+# 2048-row, d=256 slides (S=4, two heads) raised peak memory by about
+# 310 MB, against 187 MB for one such slide.
+_STACK_ROWS = 1024
 
 
 @dataclass
@@ -100,18 +113,42 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
     return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
 
 
+def _stacked_grid(coords: np.ndarray, sizes: np.ndarray, s: int) -> np.ndarray:
+    """Stacked grid coordinates with each slide's rows moved past the
+    previous slide's by a multiple of s, so no S x S window spans two slides
+    and coords % s (the in-window offset) is unchanged."""
+    starts = np.cumsum(sizes) - sizes
+    tiles = np.maximum.reduceat(coords[:, 0], starts) // s + 1
+    shifted = coords.copy()
+    shifted[:, 0] += np.repeat(s * (np.cumsum(tiles) - tiles), sizes)
+    return shifted
+
+
 def _forward_core(
     f: np.ndarray,
     coords: np.ndarray,
     params: ModelParams,
     t_mat: np.ndarray,
     lwa_gff: bool,
+    sizes: list[int] | None = None,
 ):
-    """One slide's forward pass; returns every intermediate needed backward."""
-    cache: dict = {"f": f, "coords": coords, "lwa_gff": lwa_gff}
+    """The forward pass of one slide, or of a stack of slides.
+
+    A stack concatenates its slides' rows in f and coords, sizes[j] rows for
+    slide j; sizes None is one slide. alpha and log_alpha are normalized
+    within each slide, and p_slide is (C,) for one slide and (n_slides, C)
+    when sizes is given. Returns every intermediate needed backward.
+    """
+    one_slide = sizes is None
+    sizes = np.array([f.shape[0]] if one_slide else sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
+    cache: dict = {"f": f, "coords": coords, "lwa_gff": lwa_gff, "sizes": sizes,
+                   "bounds": bounds}
     d = params.dim
     if lwa_gff:
-        layout = partition_coords(coords, params.window_size)
+        s_win = params.window_size
+        layout = partition_coords(_stacked_grid(coords, sizes, s_win), s_win)
         heads_h = []
         attn = []
         for head in params.lwa.heads:
@@ -142,51 +179,64 @@ def _forward_core(
         phi = table_embeddings(coords, params.agg)
     u_in = np.concatenate([h_fused, phi], axis=1)
     u = u_in @ params.agg.w
-    u = u - u.max()
-    eu = np.exp(u)
-    e_sum = eu.sum()
-    alpha = eu / e_sum
-    p_slide = alpha @ p
+    alpha = np.empty_like(u)
+    log_alpha = np.empty_like(u)
+    p_slide = np.empty((len(bounds), p.shape[1]))
+    for j, (a, b) in enumerate(bounds):
+        u_j = u[a:b] - u[a:b].max()
+        eu = np.exp(u_j)
+        e_sum = eu.sum()
+        alpha[a:b] = eu / e_sum
+        log_alpha[a:b] = u_j - math.log(e_sum)
+        p_slide[j] = alpha[a:b] @ p[a:b]
 
     cache.update(
         h=h_fused, h_norm=h_norm, h_hat=h_hat, s=s, tau=tau, z_cls=z_cls,
-        logp=logp, p=p, phi=phi, u_in=u_in, alpha=alpha,
-        log_alpha=u - math.log(e_sum), p_slide=p_slide,
+        logp=logp, p=p, phi=phi, u_in=u_in, alpha=alpha, log_alpha=log_alpha,
+        p_slide=p_slide[0] if one_slide else p_slide,
     )
     return cache
 
 
-def _slide_objective(cache: dict, y: int, lam: float):
-    """Mean patch CE + lam * slide CE, and the responsibilities r.
+def _stack_objective(cache: dict, labels: list[int], lam: float):
+    """The stack's summed per-slide [mean patch CE + lam * slide CE], and
+    the responsibilities r, one per row.
 
     The slide CE is -log P_y = -logsumexp_i(log alpha_i + log p_iy), and
-    r = softmax_i(log alpha_i + log p_iy), so no probability is ever
-    divided by or logged directly.
+    r = softmax_i(log alpha_i + log p_iy) within each slide, so no
+    probability is ever divided by or logged directly.
     """
-    logp_y = cache["logp"][:, y]
-    patch_ce = -logp_y.sum() / logp_y.shape[0]
-    a = cache["log_alpha"] + logp_y
-    a_max = a.max()
-    e = np.exp(a - a_max)
-    e_sum = e.sum()
-    slide_ce = -(a_max + math.log(e_sum))
-    return patch_ce + lam * slide_ce, e / e_sum
+    total = 0.0
+    r = np.empty_like(cache["alpha"])
+    for (lo, hi), y in zip(cache["bounds"], labels):
+        logp_y = cache["logp"][lo:hi, y]
+        patch_ce = -logp_y.sum() / logp_y.shape[0]
+        a = cache["log_alpha"][lo:hi] + logp_y
+        a_max = a.max()
+        e = np.exp(a - a_max)
+        e_sum = e.sum()
+        slide_ce = -(a_max + math.log(e_sum))
+        total += patch_ce + lam * slide_ce
+        r[lo:hi] = e / e_sum
+    return total, r
 
 
 def _backward_core(
-    cache: dict, y: int, lam: float, r: np.ndarray, params: ModelParams,
+    cache: dict, labels: list[int], lam: float, r: np.ndarray, params: ModelParams,
     t_mat: np.ndarray, grads: GradientBundle,
 ) -> None:
-    """Accumulate one slide's (unscaled) gradient contribution into grads;
-    r is the responsibility vector from _slide_objective."""
+    """Accumulate the (unscaled) gradient contribution of a stack's slides
+    into grads; r is the responsibility vector from _stack_objective."""
     p = cache["p"]
     d = params.dim
+    sizes = cache["sizes"]
 
     # both cross entropies through log p (rows of log-softmax over z = s / tau)
-    # and through log alpha (log-softmax over u)
-    coef = 1.0 / p.shape[0] + lam * r
+    # and through log alpha (log-softmax over u), each slide's patch CE a
+    # mean over its own rows
+    coef = np.repeat(1.0 / sizes, sizes) + lam * r
     dz = coef[:, None] * p
-    dz[:, y] -= coef
+    dz[np.arange(p.shape[0]), np.repeat(labels, sizes)] -= coef
     du = lam * (cache["alpha"] - r)
     grads["temp.log_tau"][0] += -(dz * cache["z_cls"]).sum()
     ds = dz / cache["tau"]
@@ -264,6 +314,33 @@ def _require_labeled(slides: list[SlideRecord], n_classes: int) -> None:
             )
 
 
+def _stacks(slides: list[SlideRecord]) -> list[list[SlideRecord]]:
+    """Consecutive runs of the batch with at most _STACK_ROWS rows in all; a
+    slide with more rows is a stack of its own."""
+    stacks: list[list[SlideRecord]] = []
+    rows = 0
+    for s in slides:
+        if not stacks or rows + s.n_patches > _STACK_ROWS:
+            stacks.append([])
+            rows = 0
+        stacks[-1].append(s)
+        rows += s.n_patches
+    return stacks
+
+
+def _forward_stack(
+    stack: list[SlideRecord], params: ModelParams, t_mat: np.ndarray, lwa_gff: bool
+) -> dict:
+    """_forward_core over a stack's concatenated rows; a slide alone is not
+    copied."""
+    if len(stack) == 1:
+        f, coords = stack[0].matrix(), stack[0].coords()
+    else:
+        f = np.concatenate([s.matrix() for s in stack])
+        coords = np.concatenate([s.coords() for s in stack])
+    return _forward_core(f, coords, params, t_mat, lwa_gff, [s.n_patches for s in stack])
+
+
 def total_loss(
     slides: list[SlideRecord],
     params: ModelParams,
@@ -278,9 +355,9 @@ def total_loss(
     _require_labeled(slides, pset.n_classes)
     t_mat = _checked_proto_matrix(pset, slides[0].dim)
     total = 0.0
-    for s in slides:
-        cache = _forward_core(s.matrix(), s.coords(), params, t_mat, lwa_gff)
-        total += _slide_objective(cache, s.label, lam)[0]
+    for stack in _stacks(slides):
+        cache = _forward_stack(stack, params, t_mat, lwa_gff)
+        total += _stack_objective(cache, [s.label for s in stack], lam)[0]
     return total / len(slides)
 
 
@@ -293,18 +370,19 @@ def grad_total_loss(
     lwa_gff: bool = True,
 ) -> tuple[float, GradientBundle]:
     """total_loss and its exact gradient for every parameter leaf, from one
-    forward pass per slide."""
+    forward and one backward pass per stack."""
     if not slides:
         raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
     t_mat = _checked_proto_matrix(pset, slides[0].dim)
     grads = grad_zeros(params)
     total = 0.0
-    for s in slides:
-        cache = _forward_core(s.matrix(), s.coords(), params, t_mat, lwa_gff)
-        loss, r = _slide_objective(cache, s.label, lam)
+    for stack in _stacks(slides):
+        labels = [s.label for s in stack]
+        cache = _forward_stack(stack, params, t_mat, lwa_gff)
+        loss, r = _stack_objective(cache, labels, lam)
         total += loss
-        _backward_core(cache, s.label, lam, r, params, t_mat, grads)
+        _backward_core(cache, labels, lam, r, params, t_mat, grads)
     inv = 1.0 / len(slides)
     for name in grads:
         grads[name] *= inv
@@ -438,7 +516,7 @@ def train(
         batch = [dataset[i] for i in sorted(order[pos : pos + bs])]
         pos += bs
         # The recorded loss is its own total_loss pass, so a step runs two
-        # forwards per slide. perfbench's traced counts
+        # forwards per stack of slides. perfbench's traced counts
         # (training.total_loss.calls, forward_passes_per_step) are pinned
         # to that loop; dropping the pass waits for ROADMAP item 6.
         losses.append(total_loss(batch, params, pset, cfg.lambda_slide, lwa_gff=lwa_gff))

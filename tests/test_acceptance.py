@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion (criterion 5 runs with and
+without the refinement stage), each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report. The headline clinical benchmarks are not reproducible at desk scale,
@@ -28,11 +29,12 @@ def criterion(num: int, label: str):
     print(f"[acceptance] criterion {num}: PASS - {label}")
 
 
-def evaluate_identity(slides, params, pset):
-    """Balanced accuracy of the identity-feature pipeline on labeled slides."""
+def evaluate_bacc(slides, params, pset, lwa_gff=False):
+    """Balanced accuracy on labeled slides of the identity-feature pipeline
+    (the refinement stage bypassed), or of the full one with lwa_gff=True."""
     recs = []
     for s in slides:
-        _, pred = fg.forward_slide(s, params, pset, lwa_gff=False)
+        _, pred = fg.forward_slide(s, params, pset, lwa_gff=lwa_gff)
         recs.append(EvalRecord(s.slide_id, s.label, pred.predicted, pred.P))
     return balanced_accuracy(recs)
 
@@ -148,6 +150,22 @@ def test_criterion_4_ranking_invariance():
             np.testing.assert_array_equal(cache["p"].argmax(axis=1), cache["s"].argmax(axis=1))
 
 
+def zero_shot_corpora():
+    """Criterion 5's (slides, prototypes) pairs: 4 seen classes to train on
+    and 3 disjoint unseen classes to classify."""
+    seen_cfg = fg.SyntheticConfig(
+        classes=4, slides_per_class=6, patches_per_slide=64, dim=16,
+        signal_fraction=0.6, noise_sigma=0.05, grid_rows=8, grid_cols=8,
+        seed=101,
+    )
+    unseen_cfg = fg.SyntheticConfig(
+        classes=3, slides_per_class=8, patches_per_slide=64, dim=16,
+        signal_fraction=0.6, noise_sigma=0.05, grid_rows=8, grid_cols=8,
+        seed=202,
+    )
+    return fg.gen_synthetic(seen_cfg), fg.gen_synthetic(unseen_cfg)
+
+
 def test_criterion_5_zero_shot_end_to_end():
     """Train 300 desk-profile iterations on 4 seen classes, then classify 3
     disjoint unseen classes against fresh prototypes at bacc >= 0.95.
@@ -158,33 +176,37 @@ def test_criterion_5_zero_shot_end_to_end():
     pipeline is verified first, then the trained one."""
     with criterion(5, "zero-shot synthetic end-to-end bacc >= 0.95, < 2 min"):
         start = time.time()
-        seen_cfg = fg.SyntheticConfig(
-            classes=4, slides_per_class=6, patches_per_slide=64, dim=16,
-            signal_fraction=0.6, noise_sigma=0.05, grid_rows=8, grid_cols=8,
-            seed=101,
-        )
-        unseen_cfg = fg.SyntheticConfig(
-            classes=3, slides_per_class=8, patches_per_slide=64, dim=16,
-            signal_fraction=0.6, noise_sigma=0.05, grid_rows=8, grid_cols=8,
-            seed=202,
-        )
-        seen, seen_protos = fg.gen_synthetic(seen_cfg)
-        unseen, unseen_protos = fg.gen_synthetic(unseen_cfg)
+        (seen, seen_protos), (unseen, unseen_protos) = zero_shot_corpora()
 
         # closed-form verification of the threshold (untrained identity pass)
         fresh = fg.init_params(16, 2, 2, seed=0)
-        closed_form = evaluate_identity(unseen, fresh, unseen_protos)
+        closed_form = evaluate_bacc(unseen, fresh, unseen_protos)
         assert closed_form >= 0.95, f"closed-form bacc {closed_form:.3f}"
 
         cfg = fg.desk_profile(seed=0)
         assert cfg.iterations == 300
         trained, losses = fg.train(seen, cfg, seen_protos, lwa_gff=False)
         assert losses[-1] < losses[0]
-        bacc = evaluate_identity(unseen, trained, unseen_protos)
+        bacc = evaluate_bacc(unseen, trained, unseen_protos)
         elapsed = time.time() - start
         assert bacc >= 0.95, f"zero-shot bacc {bacc:.3f}"
         assert elapsed < 120.0, f"end-to-end took {elapsed:.1f} s"
         print(f"  (closed-form {closed_form:.3f}, trained {bacc:.3f}, {elapsed:.1f} s)", end=" ")
+
+
+def test_criterion_5_zero_shot_end_to_end_with_refinement():
+    """Criterion 5 with the refinement stage on: window attention and gated
+    fusion are trained and run at inference, on the same corpora."""
+    with criterion(5, "zero-shot end-to-end with LWA/GFF bacc >= 0.95, < 2 min"):
+        start = time.time()
+        (seen, seen_protos), (unseen, unseen_protos) = zero_shot_corpora()
+        trained, losses = fg.train(seen, fg.desk_profile(seed=0), seen_protos, lwa_gff=True)
+        assert len(losses) == 300 and losses[-1] < losses[0]
+        bacc = evaluate_bacc(unseen, trained, unseen_protos, lwa_gff=True)
+        elapsed = time.time() - start
+        assert bacc >= 0.95, f"zero-shot bacc {bacc:.3f}"
+        assert elapsed < 120.0, f"end-to-end took {elapsed:.1f} s"
+        print(f"  (trained {bacc:.3f}, {elapsed:.1f} s)", end=" ")
 
 
 def test_criterion_6_ablation_direction():
@@ -201,8 +223,8 @@ def test_criterion_6_ablation_direction():
             slides, fine = fg.gen_synthetic(cfg)
             coarse = fg.coarse_prototypes(fine, seed=seed)
             params = fg.init_params(16, 2, 2, seed=seed)
-            bacc_fine = evaluate_identity(slides, params, fine)
-            bacc_coarse = evaluate_identity(slides, params, coarse)
+            bacc_fine = evaluate_bacc(slides, params, fine)
+            bacc_coarse = evaluate_bacc(slides, params, coarse)
             assert bacc_fine > bacc_coarse, (
                 f"seed {seed}: fine {bacc_fine:.3f} <= coarse {bacc_coarse:.3f}"
             )

@@ -143,6 +143,7 @@ class TestPipeline:
             capsys,
         )
         assert code == 0, err
+        assert "--checkpoint" not in err
         lines = [json.loads(l) for l in preds.read_text().splitlines()]
         assert len(lines) == 4
         assert [l["slide_id"] for l in lines] == sorted(l["slide_id"] for l in lines)
@@ -179,6 +180,7 @@ class TestPipeline:
         )
         assert code == 0, err
         assert len(preds.read_text().splitlines()) == 4
+        assert "note: no --checkpoint; using fresh-init parameters (seed 2)" in err.splitlines()
 
     def test_eval_perfect_fixture(self, tmp_path, capsys):
         """Hand-built predictions that match the truth print bacc=1.0000."""

@@ -42,6 +42,13 @@ class TestHandCases:
         kept = sorted(out.matrix()[:, 0].tolist())
         assert kept == [0.0, 10.0]
 
+    def test_fps_on_duplicate_embeddings_picks_distinct_patches(self):
+        """A noise-free slide repeats embeddings: once every remaining
+        distance is 0, the next pick is the lowest index not yet picked."""
+        s = slide_from_vectors([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
+        out = select_patches(s, SelectionStrategy("fps_embedding", 4))
+        assert out.coords().tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
+
     def test_topk_keeps_largest_norm(self):
         s = slide_from_vectors([[0.5], [2.0], [1.0]])
         out = select_patches(s, SelectionStrategy("topk_norm", 1))

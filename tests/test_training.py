@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import forward_cache
+from conftest import forward_cache, make_pset
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fgpan.data import (
     ClassPrototype,
@@ -16,8 +18,10 @@ from fgpan.data import (
 )
 from fgpan.params import flatten_grads, grad_zeros, init_params
 from fgpan.training import (
+    _STACK_ROWS,
     TrainConfig,
     _central_difference,
+    _stacks,
     adamw_step,
     desk_profile,
     finite_diff_check,
@@ -264,6 +268,82 @@ class TestGradients:
             finite_diff_check(slides, params, pset, 1.0, 0.0)
 
 
+@st.composite
+def batch_specs(draw):
+    """A batch as plain values: per-slide (patches, grid_rows, grid_cols).
+    Small and large slides mix, so some batches overflow one stack."""
+    slides = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.one_of(st.integers(1, 64), st.integers(256, 700)))
+        rows = draw(st.integers(-(-m // 36), 36))
+        cols = draw(st.integers(-(-m // rows), 36))
+        slides.append((m, rows, cols))
+    return dict(
+        slides=slides,
+        window_size=draw(st.integers(1, 3)),
+        pos_mode=draw(st.sampled_from(["sinusoidal", "learned_table"])),
+        lam=draw(st.sampled_from([0.0, 1.0])),
+        lwa_gff=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def build_batch(spec, dim=4, classes=3):
+    """Seeded slides, prototypes and randomized params for a batch spec."""
+    rng = np.random.default_rng(spec["seed"])
+    slides = []
+    for j, (m, rows, cols) in enumerate(spec["slides"]):
+        cells = np.sort(rng.choice(rows * cols, size=m, replace=False))
+        slides.append(SlideRecord(
+            f"b{j}", int(rng.integers(classes)), np.stack(np.divmod(cells, cols), axis=1),
+            rng.standard_normal((m, dim)), rows, cols,
+        ))
+    params = init_params(
+        dim, spec["window_size"], 2, seed=0, pos_mode=spec["pos_mode"],
+        grid_rows=max(r for _, r, _ in spec["slides"]),
+        grid_cols=max(c for _, _, c in spec["slides"]),
+    )
+    params = params.with_flat(params.flatten() + 0.3 * rng.standard_normal(params.n_scalars))
+    raw = rng.standard_normal((classes, dim))
+    return slides, make_pset(raw / np.linalg.norm(raw, axis=1, keepdims=True)), params
+
+
+class TestStacks:
+    def test_grouping(self):
+        sizes = [400, 500, 300, 1100, 600, 424, 1]
+        slides = [
+            SlideRecord(f"s{j}", 0, np.stack(np.divmod(np.arange(m), 40), axis=1),
+                        np.ones((m, 1)), 40, 40)
+            for j, m in enumerate(sizes)
+        ]
+        assert _STACK_ROWS == 1024
+        got = [[s.n_patches for s in stack] for stack in _stacks(slides)]
+        assert got == [[400, 500], [300], [1100], [600, 424], [1]]
+
+    @settings(max_examples=40)
+    @given(batch_specs())
+    @example(dict(  # stacks of 900, 300 and 1100 (alone, over the budget) rows
+        slides=[(400, 32, 32), (500, 30, 20), (300, 25, 25), (1100, 36, 36)],
+        window_size=2, pos_mode="learned_table", lam=1.0, lwa_gff=True, seed=7,
+    ))
+    def test_stacked_batch_equals_mean_of_singletons(self, spec):
+        """total_loss and every gradient leaf of a batch, run as stacks,
+        equal the mean over one-slide batches to 1e-12 relative."""
+        slides, pset, params = build_batch(spec)
+        lam, lwa_gff = spec["lam"], spec["lwa_gff"]
+        loss, grads = grad_total_loss(slides, params, pset, lam, lwa_gff=lwa_gff)
+        singles = [grad_total_loss([s], params, pset, lam, lwa_gff=lwa_gff) for s in slides]
+        want = sum(l for l, _ in singles) / len(slides)
+        assert abs(loss - want) <= 1e-12 * abs(want)
+        assert abs(total_loss(slides, params, pset, lam, lwa_gff=lwa_gff) - want) <= (
+            1e-12 * abs(want)
+        )
+        for name, got in grads.items():
+            mean = sum(g[name] for _, g in singles) / len(slides)
+            scale = np.abs(mean).max()
+            assert np.abs(got - mean).max() <= 1e-12 * scale, name
+
+
 class TestAdamW:
     def test_zero_learning_rate_is_identity(self):
         slides, pset, params = random_instance(6)
@@ -327,7 +407,8 @@ class TestTrain:
 
     def test_step_loss_is_total_loss_before_the_update(self, monkeypatch):
         """Each step records total_loss at the pre-update params, and the
-        gradient pass runs on the same batch: two forwards per slide."""
+        gradient pass runs on the same batch: two forwards per stack, and
+        the four 6-row slides of a batch make one stack."""
         import fgpan.training as tr
 
         calls = []
@@ -341,7 +422,7 @@ class TestTrain:
         slides, pset = tiny_corpus(classes=2, sigma=0.1, rho=0.8, m=6, slides_per_class=3)
         _, losses = train(slides, desk_profile(iterations=5, batch_size=4, seed=0), pset)
         assert losses == recorded and len(losses) == 5
-        assert len(calls) == 2 * 5 * 4
+        assert len(calls) == 2 * 5
 
     def test_empty_dataset_rejected(self):
         _, pset = tiny_corpus()
