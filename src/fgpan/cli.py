@@ -379,7 +379,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
                     raise ValueError(
                         f"P has shape {probs.shape}, other rows have {n_classes} entries"
                     )
-                by_id[sid] = EvalRecord(sid, truth[sid], int(obj["predicted"]), probs)
+                predicted = obj["predicted"]
+                if isinstance(predicted, bool) or not isinstance(predicted, int):
+                    raise ValueError(f"predicted must be an integer, got {predicted!r}")
+                by_id[sid] = EvalRecord(sid, truth[sid], predicted, probs)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"slide {sid!r}: bad prediction: {exc}") from exc
     missing = sorted(set(truth) - set(by_id))

@@ -12,13 +12,16 @@ Prototype file format: one JSON object per line,
     {"class_id", "name", "description", "embedding": [...]}
 
 Floats are written with the shortest round-trip decimal representation so
-identical records serialize to identical bytes, and read back in bulk by
-_parse_decimals, which slide and checkpoint files share.
+identical records serialize to identical bytes. A slide body is read back in
+one np.loadtxt call; the token parser _parse_decimals, which checkpoint
+files share, reads any body np.loadtxt does not take and names its fault.
 """
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -122,16 +125,27 @@ class SlideRecord:
                 f"M={features.shape[0]} feature rows, got {coords.dtype} {coords.shape}"
             )
         coords = coords.astype(np.int64, copy=False)
-        cells, counts = np.unique(coords, axis=0, return_counts=True)
-        for rows, bad, problem in (
-            (coords, ~np.isfinite(features).all(axis=1), "non-finite value at"),
-            (coords, (coords < 0).any(axis=1), "negative coordinate"),
-            (cells, counts > 1, "duplicate coordinate"),
+        for bad, problem in (
+            (~np.isfinite(features).all(axis=1), "non-finite value at"),
+            ((coords < 0).any(axis=1), "negative coordinate"),
         ):
             if bad.any():
-                first = tuple(rows[np.argmax(bad)].tolist())
+                first = tuple(coords[np.argmax(bad)].tolist())
                 raise ValueError(f"slide {slide_id!r}: {problem} {first}")
         max_r, max_c = coords.max(axis=0).tolist()
+        # row-major cell keys: the first duplicate key is the first duplicate
+        # cell in row-major order. Coordinates too large for such a key in
+        # int64 are replaced by their ranks, which keep the order.
+        rows, cols = coords.T
+        span = max_c + 1
+        if max_r * span + max_c > np.iinfo(np.int64).max:
+            rows, cols = (np.unique(v, return_inverse=True)[1] for v in coords.T)
+            span = len(coords)
+        keys = rows * span + cols
+        cells, counts = np.unique(keys, return_counts=True)
+        if (counts > 1).any():
+            first = tuple(coords[np.argmax(keys == cells[np.argmax(counts > 1)])].tolist())
+            raise ValueError(f"slide {slide_id!r}: duplicate coordinate {first}")
         self.grid_rows = max_r + 1 if grid_rows is None else int(grid_rows)
         self.grid_cols = max_c + 1 if grid_cols is None else int(grid_cols)
         if max_r >= self.grid_rows or max_c >= self.grid_cols:
@@ -295,17 +309,41 @@ def save_slide(record: SlideRecord, path) -> None:
 _PARSE_ROWS = 256  # slide rows parsed per call: bounds the token strings alive at once
 
 
-def load_slide(path) -> SlideRecord:
-    """Read a slide file, preserving patch order."""
+def _slide_header(line: str, path) -> list:
+    """slide_id, label, d, M, grid_rows, grid_cols from a header line."""
+    return _header_fields(
+        _json_object(line, path, "header"), path, "header",
+        slide_id="str", label="int?", d="int>0", M="int", grid_rows="int>0", grid_cols="int>0",
+    )
+
+
+def _bulk_body(fh, d: int, m: int):
+    """The rest of an open slide file as an (M,) structured array of int64
+    "rc" coordinate pairs and float64 "f" feature rows, in one np.loadtxt
+    call; None when np.loadtxt does not read it as exactly M rows or warns.
+
+    Each line is split again by str.splitlines, as the token parser splits
+    the text, so a vertical tab, form feed or U+2028 breaks a row for both.
+    """
+    lines = chain.from_iterable(map(str.splitlines, fh))
+    try:
+        row = np.dtype([("rc", np.int64, (2,)), ("f", np.float64, (d,))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = np.loadtxt(lines, dtype=row, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return None if caught or table.shape != (m,) else table
+
+
+def _load_slide_tokens(path) -> SlideRecord:
+    """load_slide by splitting the whole text into tokens: slower, and
+    names the first fault of a file np.loadtxt does not read."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty slide file")
-    header = _json_object(lines[0], path, "header")
-    slide_id, label, d, m, grid_rows, grid_cols = _header_fields(
-        header, path, "header",
-        slide_id="str", label="int?", d="int>0", M="int", grid_rows="int>0", grid_cols="int>0",
-    )
+    slide_id, label, d, m, grid_rows, grid_cols = _slide_header(lines[0], path)
     body = list(filter(str.strip, lines[1:]))  # blank lines dropped
     if len(body) != m:
         raise ValueError(f"{path}: header declares M={m} but file has {len(body)} patch rows")
@@ -320,6 +358,27 @@ def load_slide(path) -> SlideRecord:
         coords[block] = _parse_decimals(list(map(itemgetter(0, 1), rows)), str(path), np.int64)
         features[block] = _parse_decimals(list(map(itemgetter(slice(2, None)), rows)), str(path))
     return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
+
+
+def load_slide(path) -> SlideRecord:
+    """Read a slide file, preserving patch order.
+
+    The body is parsed in one np.loadtxt call, line by line from the open
+    file. A body it does not read as exactly M rows (a bad token, a ragged,
+    short or empty body) is read again by _load_slide_tokens, whose error
+    names the fault.
+    """
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().splitlines()
+        if len(first) == 1:
+            slide_id, label, d, m, grid_rows, grid_cols = _slide_header(first[0], path)
+            table = _bulk_body(fh, d, m)
+            if table is not None:
+                coords = np.ascontiguousarray(table["rc"])
+                features = np.ascontiguousarray(table["f"])
+                del table  # freed before validation allocates
+                return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
+    return _load_slide_tokens(path)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,19 @@ class TestPipeline:
         assert code == 1
         assert f"slide {last_id!r}: bad prediction: P has shape (3,), other rows have 2" in err
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None], ids=repr)
+    def test_eval_rejects_non_integer_predicted(self, value, tmp_path, capsys):
+        """int() would read 1.5, true and "1" as class 1 without a word."""
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "typed.jsonl"
+        self.write_predictions(data, preds, edit_last=lambda rec: rec.update(predicted=value))
+        last_id = json.loads(preds.read_text().splitlines()[-1])["slide_id"]
+        code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
+        assert code == 1
+        assert (f"slide {last_id!r}: bad prediction: predicted must be an integer, "
+                f"got {value!r}") in err
+
     def test_eval_rejects_line_that_is_not_an_object(self, tmp_path, capsys):
         data = tmp_path / "data"
         run(GEN_SMALL + ["--out", str(data)], capsys)

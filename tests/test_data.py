@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fgpan.data import (
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,
+    _load_slide_tokens,
     coarse_prototypes,
     gen_synthetic,
     load_prototypes,
@@ -41,6 +43,12 @@ class TestSlideInvariants:
     def test_duplicate_coords_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
             SlideRecord("s", 0, [(0, 0), (0, 1), (0, 0)], [[1.0], [2.0], [3.0]])
+
+    @pytest.mark.parametrize("big", [0, 2**62], ids=["small", "past-int64-keys"])
+    def test_first_duplicate_in_row_major_order_is_named(self, big):
+        coords = [(3 + big, 1), (2 + big, 5 + big), (3 + big, 1), (2 + big, 5 + big), (0, 0)]
+        with pytest.raises(ValueError, match=rf"duplicate coordinate \({2 + big}, {5 + big}\)"):
+            SlideRecord("s", 0, coords, np.ones((5, 1)))
 
     def test_negative_coords_rejected(self):
         with pytest.raises(ValueError, match=r"negative coordinate \(-1, 0\)"):
@@ -206,6 +214,106 @@ class TestSlideRoundTrip:
             save_slide(back, second)
             with open(first, "rb") as fa, open(second, "rb") as fb:
                 assert fa.read() == fb.read()
+
+
+def _token_text(value, data):
+    """One valid decimal spelling of an int or float: str or repr, or for a
+    float a longer or shorter form, maybe with a leading '+' and zeros."""
+    forms = [str] if isinstance(value, int) else [repr, "{:.17e}".format, "{:.20g}".format,
+                                                  "{:E}".format]
+    text = data.draw(st.sampled_from(forms))(value)
+    if text.startswith("-"):
+        sign, text = "-", text[1:]
+    else:
+        sign = data.draw(st.sampled_from(["", "+"]))
+    return sign + "0" * data.draw(st.integers(0, 2)) + text
+
+
+NOT_INT = "invalid literal for int() with base 10: "
+
+
+@pytest.mark.filterwarnings("error")
+class TestBulkLoader:
+    """load_slide parses a body in one np.loadtxt call and falls back to the
+    token parser (_load_slide_tokens) for anything else: both read the same
+    values, and a bad body gets the token parser's error, word for word."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.data())
+    def test_valid_body_reads_as_the_token_parser_does(self, rows, cols, d, data):
+        cells = data.draw(
+            st.lists(st.integers(0, rows * cols - 1), min_size=1, max_size=rows * cols,
+                     unique=True)
+        )
+        values = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(ADVERSARIAL), st.floats(allow_nan=False,
+                                                                  allow_infinity=False)),
+                min_size=len(cells) * d, max_size=len(cells) * d,
+            )
+        )
+        gap = st.sampled_from([" ", "\t", "  ", " \t "])
+        # a form feed or U+2028 at a line's edge splits off a blank line only
+        edge = st.sampled_from(["", " ", "\t", "\f", "\u2028"])
+        blank = st.lists(st.sampled_from(["", "   ", "\t", " \t"]), max_size=2)
+        header = {"slide_id": "s", "label": 0, "d": d, "M": len(cells),
+                  "grid_rows": rows, "grid_cols": cols}
+        lines = [json.dumps(header)]
+        for i, cell in enumerate(cells):
+            lines += data.draw(blank)
+            row = [_token_text(v, data) for v in divmod(cell, cols)]
+            row += [_token_text(v, data) for v in values[i * d:(i + 1) * d]]
+            line = row[0]
+            for token in row[1:]:
+                line += data.draw(gap) + token
+            lines.append(data.draw(edge) + line + data.draw(edge))
+        lines += data.draw(blank)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "a.slide")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+            expected = _load_slide_tokens(path)
+            # the bulk path reads every valid body itself
+            with mock.patch("fgpan.data._load_slide_tokens", side_effect=AssertionError):
+                back = load_slide(path)
+        assert back.coords().tobytes() == expected.coords().tobytes()
+        assert back.matrix().tobytes() == expected.matrix().tobytes()
+        assert back.matrix().flags.c_contiguous and back.coords().flags.c_contiguous
+        assert back == expected
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("0 3.0 1.0 2.0 3.0\n0 1 4.0 5.0 6.0\n", NOT_INT + "'3.0'"),
+            ("0 1e0 1.0 2.0 3.0\n0 1 4.0 5.0 6.0\n", NOT_INT + "'1e0'"),
+            ("0 0.5 1.0 2.0 3.0\n0 1 4.0 5.0 6.0\n", NOT_INT + "'0.5'"),
+            ("0 0 1.0 # 3.0\n0 1 4.0 5.0 6.0\n", "could not convert string to float: '#'"),
+            ("0 0 1.0 2.0 3.0 4.0\n0 1 5.0 6.0\n", "row has 2 values, header declares d=3"),
+            ("0 0 1.0 2.0 3.0\n", "header declares M=2 but file has 1 patch rows"),
+            ("", "header declares M=2 but file has 0 patch rows"),
+            ("\n \n", "header declares M=2 but file has 0 patch rows"),
+            ("0 0 1.0 2.0\v3.0\n0 1 4.0 5.0 6.0\n", "declares M=2 but file has 3 patch rows"),
+        ],
+        ids=["coord-3.0", "coord-1e0", "coord-0.5", "hash-token", "ragged-compensating",
+             "short", "empty", "blank", "vertical-tab-break"],
+    )
+    def test_bad_body_error_is_the_token_parsers(self, tmp_path, body, match):
+        path = tmp_path / "bad.slide"
+        path.write_text(HEADER + "\n" + body)
+        with pytest.raises(ValueError) as expected:
+            _load_slide_tokens(path)
+        with pytest.raises(ValueError) as got:
+            load_slide(path)
+        assert str(got.value) == str(expected.value)
+        assert match in str(got.value)
+
+    def test_underscore_digits_load_through_the_fallback(self, tmp_path):
+        """float() reads 1_0 as 10.0, np.loadtxt refuses it: the token parser
+        reads the file."""
+        path = tmp_path / "u.slide"
+        path.write_text(HEADER + "\n0 0 1_0 2.0 3.0\n0 1 4.0 5.0 6.0\n")
+        s = load_slide(path)
+        assert s.matrix().tolist() == [[10.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
 class TestPrototypeFiles:

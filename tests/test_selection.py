@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fgpan.data import SlideRecord
-from fgpan.selection import SelectionStrategy, select_patches
+from fgpan.data import SlideRecord, SyntheticConfig, gen_synthetic
+from fgpan.selection import SelectionStrategy, _fps_indices, select_patches
 
 
 def slide_from_vectors(vectors):
@@ -15,6 +18,22 @@ def random_slide(rng, m=12, dim=5):
     cells = rng.choice(100, size=m, replace=False)
     features = rng.standard_normal((m, dim))
     return SlideRecord("r", 0, np.stack(np.divmod(cells, 10), axis=1), features, 10, 10)
+
+
+def fps_reference(x, m):
+    """Farthest-point sampling in its direct form: the norm of the
+    difference to each new pick, then the running minimum."""
+    centroid = x.mean(axis=0)
+    seed = int(np.argmax(np.linalg.norm(x - centroid, axis=1)))
+    selected = [seed]
+    min_dist = np.linalg.norm(x - x[seed], axis=1)
+    min_dist[seed] = -1.0
+    while len(selected) < m:
+        nxt = int(np.argmax(min_dist))
+        selected.append(nxt)
+        min_dist = np.minimum(min_dist, np.linalg.norm(x - x[nxt], axis=1))
+        min_dist[nxt] = -1.0
+    return selected
 
 
 class TestBounds:
@@ -92,3 +111,43 @@ class TestProperties:
             SelectionStrategy("bogus", 3)
         with pytest.raises(ValueError, match="m_max"):
             SelectionStrategy("all", 0)
+
+
+class TestFpsOracle:
+    @pytest.mark.parametrize(
+        "cfg, m",
+        [
+            # the perfbench desk-train workload and its reference case (seed 1)
+            *[(dict(seed=seed), 48) for seed in range(6)],
+            (dict(slides_per_class=2, seed=1), 48),
+            (dict(noise_sigma=0.3, seed=7), 16),
+            (dict(noise_sigma=1e-3, seed=8), 32),
+            (dict(dim=64, patches_per_slide=100, grid_rows=12, grid_cols=12, seed=9), 40),
+        ],
+        ids=[*(f"desk-train-seed{seed}" for seed in range(6)), "desk-reference", "sigma0.3",
+             "sigma1e-3", "d64"],
+    )
+    def test_picks_equal_the_norm_of_difference_reference(self, cfg, m):
+        """On gen corpora with noise the one-GEMV picks are the reference's."""
+        base = dict(classes=4, slides_per_class=10, patches_per_slide=64, dim=16)
+        slides, _ = gen_synthetic(SyntheticConfig(**{**base, **cfg}))
+        for s in slides:
+            assert _fps_indices(s.matrix(), m) == fps_reference(s.matrix(), m), s.slide_id
+
+    @settings(max_examples=60)
+    @given(st.tuples(st.integers(2, 30), st.integers(1, 6)).flatmap(lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)), st.integers(1, shape[0]))))
+    def test_each_pick_is_farthest(self, case):
+        """Picks are distinct, and each maximizes the exact squared
+        min-distance to the earlier picks, up to 1e-9 of the larger of that
+        maximum and the largest squared norm (the scale at which
+        |x|^2 - 2 x.y + |y|^2 rounds)."""
+        x, m = case
+        picks = _fps_indices(x, m)
+        assert len(set(picks)) == len(picks) == m
+        scale = float(np.max(np.einsum("ij,ij->i", x, x)))
+        for k in range(1, m):
+            d2 = np.min(((x[:, None, :] - x[None, picks[:k], :]) ** 2).sum(axis=2), axis=1)
+            d2[picks[:k]] = -np.inf
+            best = float(d2.max())
+            assert best - d2[picks[k]] <= 1e-9 * max(best, scale)
