@@ -4,7 +4,6 @@
 import time
 
 from fgpan import finite_diff_check, grad_total_loss, random_instance
-from fgpan.params import flatten_grads
 
 slides, prototypes, params = random_instance(
     seed=0, dim=8, window_size=2, heads=2, classes=3, patches=6
@@ -12,7 +11,7 @@ slides, prototypes, params = random_instance(
 print(f"instance: {len(slides)} slides, {params.n_scalars} learnable scalars")
 
 loss, grads = grad_total_loss(slides, params, prototypes, 1.0)
-flat = flatten_grads(grads, params)
+flat = grads.flatten()
 print(f"loss {loss:.6f}, gradient norm {float((flat**2).sum())**0.5:.6f}, "
       f"largest |component| {abs(flat).max():.6f}")
 

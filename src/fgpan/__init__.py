@@ -7,16 +7,13 @@ slide-level aggregation. Training is plain numpy with hand-derived gradients
 checked against a finite-difference oracle.
 """
 
-from .aggregation import AggregationParams, SlidePrediction
+from .aggregation import SlidePrediction
 from .attention import (
-    AttentionHeadParams,
-    LwaParams,
     WindowLayout,
     partition_coords,
     window_attention,
     window_attention_backward,
 )
-from .classifier import TemperatureParam
 from .data import (
     ClassPrototype,
     PrototypeSet,
@@ -29,7 +26,6 @@ from .data import (
     save_prototypes,
     save_slide,
 )
-from .fusion import FusionParams, GateParams
 from .metrics import (
     EvalRecord,
     auroc_ovr,
@@ -39,8 +35,13 @@ from .metrics import (
     f1_scores,
 )
 from .params import (
-    GradientBundle,
+    AggregationParams,
+    AttentionHeadParams,
+    FusionParams,
+    GateParams,
+    LwaParams,
     ModelParams,
+    TemperatureParam,
     init_params,
     load_checkpoint,
     save_checkpoint,

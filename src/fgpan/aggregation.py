@@ -1,5 +1,5 @@
-"""Coordinate-aware slide-level aggregation: its parameters, its prediction
-type and the positional embeddings.
+"""Coordinate-aware slide-level aggregation: its prediction type and the
+positional embeddings.
 
 Importance weights are a softmax over w . [feature || positional-embedding];
 the slide distribution is the weighted sum of the patch distributions. That
@@ -10,52 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import AggregationParams
+
 __all__ = [
-    "AggregationParams",
     "SlidePrediction",
     "sinusoidal_embeddings",
     "table_embeddings",
 ]
-
-POSITIONAL_MODES = ("sinusoidal", "learned_table")
-
-
-@dataclass(eq=False)
-class AggregationParams:
-    """Projection vector w (length 2d) plus the positional embedding choice.
-
-    learned_table, shaped (grid_rows * grid_cols, d) and indexed by
-    row * grid_cols + col, is present exactly when the mode is learned_table.
-    """
-
-    w: np.ndarray
-    positional_mode: str = "sinusoidal"
-    learned_table: np.ndarray | None = None
-    grid_rows: int | None = None
-    grid_cols: int | None = None
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 1 or self.w.shape[0] % 2 != 0:
-            raise ValueError("w must be a vector of even length 2d")
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("w contains non-finite values")
-        if self.positional_mode not in POSITIONAL_MODES:
-            raise ValueError(f"positional_mode must be one of {POSITIONAL_MODES}")
-        if self.positional_mode == "learned_table":
-            if self.learned_table is None or self.grid_rows is None or self.grid_cols is None:
-                raise ValueError("learned_table mode requires a table and grid dims")
-            self.learned_table = np.asarray(self.learned_table, dtype=np.float64)
-            d = self.w.shape[0] // 2
-            expected = (self.grid_rows * self.grid_cols, d)
-            if self.learned_table.shape != expected:
-                raise ValueError(f"learned_table must have shape {expected}")
-        elif self.learned_table is not None:
-            raise ValueError("learned_table must be absent in sinusoidal mode")
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0] // 2
 
 
 @dataclass(eq=False)
@@ -103,4 +64,4 @@ def table_embeddings(coords: np.ndarray, params: AggregationParams) -> np.ndarra
     if coords[:, 0].max() >= params.grid_rows or coords[:, 1].max() >= params.grid_cols:
         raise ValueError("coordinate outside the learned positional table's grid")
     flat = coords[:, 0] * params.grid_cols + coords[:, 1]
-    return params.learned_table[flat]
+    return params.table[flat]

@@ -17,74 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import AttentionHeadParams
+
 __all__ = [
-    "AttentionHeadParams",
-    "LwaParams",
     "WindowLayout",
     "partition_coords",
     "window_attention",
     "window_attention_backward",
 ]
-
-
-@dataclass(eq=False)
-class AttentionHeadParams:
-    """Per-head d x d projections and the relative positional bias table."""
-
-    W_Q: np.ndarray
-    W_K: np.ndarray
-    W_V: np.ndarray
-    bias_table: np.ndarray
-
-    def __post_init__(self):
-        self.W_Q = np.asarray(self.W_Q, dtype=np.float64)
-        self.W_K = np.asarray(self.W_K, dtype=np.float64)
-        self.W_V = np.asarray(self.W_V, dtype=np.float64)
-        self.bias_table = np.asarray(self.bias_table, dtype=np.float64)
-        d = self.W_Q.shape[0]
-        for name, w in (("W_Q", self.W_Q), ("W_K", self.W_K), ("W_V", self.W_V)):
-            if w.shape != (d, d):
-                raise ValueError(f"{name} must be square of shape ({d}, {d})")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"{name} contains non-finite values")
-        side = self.bias_table.shape[0]
-        if self.bias_table.shape != (side, side) or side % 2 == 0:
-            raise ValueError("bias_table must be square with odd side 2S-1")
-        if not np.all(np.isfinite(self.bias_table)):
-            raise ValueError("bias_table contains non-finite values")
-
-    @property
-    def dim(self) -> int:
-        return self.W_Q.shape[0]
-
-    @property
-    def window_size(self) -> int:
-        return (self.bias_table.shape[0] + 1) // 2
-
-
-@dataclass(eq=False)
-class LwaParams:
-    """All attention heads of the refinement stage."""
-
-    heads: list[AttentionHeadParams]
-    dim: int
-
-    def __post_init__(self):
-        if not self.heads:
-            raise ValueError("at least one attention head required")
-        for h in self.heads:
-            if h.dim != self.dim:
-                raise ValueError("all heads must share the feature dimension")
-            if h.window_size != self.heads[0].window_size:
-                raise ValueError("all heads must share the window size")
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.heads)
-
-    @property
-    def window_size(self) -> int:
-        return self.heads[0].window_size
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,8 @@ Slide file format (UTF-8, LF endings):
 
 Prototype file format: one JSON object per line,
     {"class_id", "name", "description", "embedding": [...]}
+    (class_id an integer, name and description strings, embedding a
+    non-empty list of finite numbers)
 
 Floats are written with the shortest round-trip decimal representation so
 identical records serialize to identical bytes. A slide body is read back in
@@ -19,6 +21,7 @@ files share, reads any body np.loadtxt does not take and names its fault.
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -72,7 +75,13 @@ _FIELD_KINDS = {
     "int>0": ((int,), "a positive integer"),
     "int?": ((int, type(None)), "an integer or null"),
     "str": ((str,), "a string"),
+    "vector": ((list,), "a non-empty list of finite numbers"),
 }
+
+
+def _finite_numbers(v: list) -> bool:
+    """A non-empty list of JSON numbers, each finite as a float64."""
+    return bool(v) and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in v)
 
 
 def _header_fields(header: dict, path, what: str, **kinds: str) -> list:
@@ -84,7 +93,8 @@ def _header_fields(header: dict, path, what: str, **kinds: str) -> list:
             raise ValueError(f"{path}: malformed {what}: missing field {key!r}")
         types, name = _FIELD_KINDS[kind]
         v = header[key]
-        if isinstance(v, bool) or not isinstance(v, types) or (kind == "int>0" and v < 1):
+        if (isinstance(v, bool) or not isinstance(v, types) or (kind == "int>0" and v < 1)
+                or (kind == "vector" and not _finite_numbers(v))):
             raise ValueError(f"{path}: malformed {what}: field {key!r} must be {name}, got {v!r}")
         values.append(v)
     return values
@@ -406,35 +416,33 @@ def save_prototypes(pset: PrototypeSet, path) -> None:
 def load_prototypes(path) -> PrototypeSet:
     """Read a prototype file; class_ids re-indexed densely in file order.
 
-    Embeddings are returned exactly as stored (no normalization).
+    Embeddings are returned exactly as stored (no normalization). A field
+    of the wrong type, a duplicate class_id or a ragged embedding raises a
+    ValueError naming the file and the line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty prototype file")
     seen_ids = set()
     protos = []
-    dim = None
-    for i, ln in enumerate(lines):
-        obj = _json_object(ln, path, f"prototype line {i + 1}")
-        try:
-            cid = int(obj["class_id"])
-            name = obj["name"]
-            desc = obj["description"]
-            emb = np.asarray(obj["embedding"], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed prototype line {i + 1}: {exc}") from exc
-        if cid in seen_ids:
-            raise ValueError(f"{path}: duplicate class_id {cid}")
-        seen_ids.add(cid)
-        if dim is None:
-            dim = emb.shape[0]
-        elif emb.shape[0] != dim:
-            raise ValueError(
-                f"{path}: ragged embedding lengths ({emb.shape[0]} vs {dim})"
+    with open(path, encoding="utf-8") as fh:
+        for lineno, ln in enumerate(fh, 1):
+            if not ln.strip():
+                continue
+            what = f"prototype line {lineno}"
+            cid, name, desc, emb = _header_fields(
+                _json_object(ln, path, what), path, what,
+                class_id="int", name="str", description="str", embedding="vector",
             )
-        protos.append(ClassPrototype(i, name, desc, emb))
-    return PrototypeSet(dim, protos)
+            if cid in seen_ids:
+                raise ValueError(f"{path}: {what}: duplicate class_id {cid}")
+            seen_ids.add(cid)
+            if protos and len(emb) != protos[0].embedding.size:
+                raise ValueError(
+                    f"{path}: {what}: ragged embedding lengths "
+                    f"({len(emb)} vs {protos[0].embedding.size})"
+                )
+            protos.append(ClassPrototype(len(protos), name, desc, emb))
+    if not protos:
+        raise ValueError(f"{path}: empty prototype file")
+    return PrototypeSet(protos[0].embedding.size, protos)
 
 
 # ---------------------------------------------------------------------------

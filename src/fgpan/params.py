@@ -1,151 +1,321 @@
-"""The full learnable parameter set: construction, a stable flat scalar
-ordering shared by the optimizer / gradient checker / checkpoints, and
+"""The learnable parameter set: one schema over one flat vector, and
 checkpoint file IO.
+
+_schema is the only place the parameters are written down: each leaf's
+name, shape, place in the flat order and weight-decay membership. A
+ModelParams owns one contiguous float64 vector theta laid out by that
+schema, and every leaf is a reshaped view into it. The groups (lwa with its
+attention heads, gates, fusion, temp, agg) bundle those views by name.
+Assigning a group's leaf attribute copies the value into its view, and any
+other assignment raises, so no leaf ever holds its values outside theta. A
+gradient is a ModelParams of the same schema, accumulated through the same
+views, so the optimizer works on two flat vectors.
 
 Checkpoint format (UTF-8, LF): line 1 is a JSON header with the format
 version and model dims; each following line is "<leaf-name> v1 v2 ..." with
-the leaf's values flattened row-major in canonical decimal text.
+the leaf's values flattened row-major in canonical decimal text, one line
+per leaf in schema order.
 """
 
+import functools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationParams
-from .attention import AttentionHeadParams, LwaParams
-from .classifier import TemperatureParam
 from .data import _fmt_row, _header_fields, _json_object, _parse_decimals
-from .fusion import FusionParams, GateParams
 
 __all__ = [
     "ModelParams",
-    "GradientBundle",
+    "AttentionHeadParams",
+    "LwaParams",
+    "GateParams",
+    "FusionParams",
+    "TemperatureParam",
+    "AggregationParams",
     "init_params",
     "grad_zeros",
-    "flatten_grads",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 CHECKPOINT_VERSION = 1
-
-# GradientBundle: one array per ModelParams leaf, keyed by leaf name.
-GradientBundle = dict[str, np.ndarray]
+POSITIONAL_MODES = ("sinusoidal", "learned_table")
 
 
-@dataclass(eq=False)
-class ModelParams:
-    """Every learnable tensor of the pipeline."""
+@functools.lru_cache(maxsize=None)
+def _schema(dim, window_size, heads, pos_mode, grid_rows, grid_cols):
+    """Every leaf as (name, shape, decays), in the flat order of theta.
 
-    lwa: LwaParams
-    gates: GateParams
-    fusion: FusionParams
-    temp: TemperatureParam
-    agg: AggregationParams
+    Weight decay applies to the projection matrices, the bias and
+    positional tables, and the gate and aggregation projections; never to
+    b_g, b_f or log_tau. The learned positional table, indexed by
+    row * grid_cols + col, exists only in learned_table mode.
+    """
+    if dim < 1 or window_size < 1 or heads < 1:
+        raise ValueError("dim, window_size, and heads must be positive")
+    if pos_mode not in POSITIONAL_MODES:
+        raise ValueError(f"positional mode must be one of {POSITIONAL_MODES}")
+    side = 2 * window_size - 1
+    leaves = []
+    for l in range(heads):
+        leaves += [
+            (f"lwa.h{l}.W_Q", (dim, dim), True),
+            (f"lwa.h{l}.W_K", (dim, dim), True),
+            (f"lwa.h{l}.W_V", (dim, dim), True),
+            (f"lwa.h{l}.bias_table", (side, side), True),
+        ]
+    leaves += [
+        ("gates.w_g", (heads, dim), True),
+        ("gates.b_g", (heads,), False),
+        ("fusion.W_f", (dim, dim), True),
+        ("fusion.b_f", (dim,), False),
+        ("temp.log_tau", (1,), False),
+        ("agg.w", (2 * dim,), True),
+    ]
+    if pos_mode == "learned_table":
+        if grid_rows is None or grid_cols is None or grid_rows < 1 or grid_cols < 1:
+            raise ValueError("learned_table mode requires positive grid dims")
+        leaves.append(("agg.table", (grid_rows * grid_cols, dim), True))
+    return tuple(leaves)
 
-    def __post_init__(self):
-        d = self.lwa.dim
-        if self.gates.n_heads != self.lwa.n_heads:
-            raise ValueError("gate count must match attention head count")
-        if self.gates.w_g.shape[1] != d or self.fusion.b_f.shape[0] != d:
-            raise ValueError("gate/fusion dimensions must match the feature dim")
-        if self.agg.dim != d:
-            raise ValueError("aggregation w must have length 2d")
+
+@functools.lru_cache(maxsize=8)
+def _decay_mask(**dims) -> np.ndarray:
+    mask = np.concatenate(
+        [np.full(math.prod(shape), decays) for _, shape, decays in _schema(**dims)]
+    )
+    mask.flags.writeable = False
+    return mask
+
+
+class _Leaf:
+    """A leaf attribute of a parameter group. Reading gives the leaf's view
+    (None for a leaf this model does not have); assigning copies the value
+    into that view, so the leaf stays part of theta."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, group, owner=None):
+        return self if group is None else group._views.get(self.name)
+
+    def __set__(self, group, value):
+        view = group._views.get(self.name)
+        if view is None:
+            raise AttributeError(f"this model has no {self.name} leaf")
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ValueError(f"{self.name} must have shape {view.shape}, got {value.shape}")
+        view[...] = value
+
+
+class _ScalarLeaf(_Leaf):
+    """A one-element leaf read and assigned as a Python float."""
+
+    def __get__(self, group, owner=None):
+        return self if group is None else float(group._views[self.name][0])
+
+    def __set__(self, group, value):
+        group._views[self.name][0] = float(value)
+
+
+class _Group:
+    """Named leaf views. Only leaf attributes can be assigned; assigning
+    any attribute the object it already holds (as an in-place operator
+    such as `grads.theta *= c` does) is a no-op."""
+
+    __slots__ = ("_views",)
+
+    @classmethod
+    def _over(cls, views: dict, **fields):
+        group = cls.__new__(cls)
+        object.__setattr__(group, "_views", views)
+        for key, value in fields.items():
+            object.__setattr__(group, key, value)
+        return group
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name) and value is getattr(self, name):
+            return
+        if not isinstance(getattr(type(self), name, None), _Leaf):
+            raise AttributeError(f"{type(self).__name__}.{name} is not a parameter leaf")
+        object.__setattr__(self, name, value)
+
+
+class AttentionHeadParams(_Group):
+    """One attention head: d x d projections and the (2S-1) x (2S-1)
+    relative positional bias table."""
+
+    __slots__ = ()
+    W_Q = _Leaf()
+    W_K = _Leaf()
+    W_V = _Leaf()
+    bias_table = _Leaf()
+
+    def __init__(self, W_Q, W_K, W_V, bias_table):
+        """A standalone head over float64 copies of the four arrays."""
+        views = dict(W_Q=W_Q, W_K=W_K, W_V=W_V, bias_table=bias_table)
+        views = {k: np.array(v, dtype=np.float64) for k, v in views.items()}
+        *projections, table = views.values()
+        d, side = projections[0].shape[0], table.shape[0]
+        if any(w.shape != (d, d) for w in projections):
+            raise ValueError(f"W_Q, W_K and W_V must be square of shape ({d}, {d})")
+        if table.shape != (side, side) or side % 2 == 0:
+            raise ValueError("bias_table must be square with odd side 2S-1")
+        if not all(np.isfinite(v).all() for v in views.values()):
+            raise ValueError("attention head contains non-finite values")
+        object.__setattr__(self, "_views", views)
 
     @property
     def dim(self) -> int:
-        return self.lwa.dim
+        return self.W_Q.shape[0]
 
     @property
     def window_size(self) -> int:
-        return self.lwa.window_size
+        return (self.bias_table.shape[0] + 1) // 2
+
+
+class LwaParams(_Group):
+    """The attention heads of the refinement stage, as a tuple: a head
+    changes through its leaves, never by rebinding heads[l]."""
+
+    __slots__ = ("heads",)
+
+
+class GateParams(_Group):
+    """Per-head gate weights w_g (L, d) and biases b_g (L,)."""
+
+    __slots__ = ()
+    w_g = _Leaf()
+    b_g = _Leaf()
+
+
+class FusionParams(_Group):
+    """Affine projection W_f (d, d), b_f (d,) of the gated-head sum."""
+
+    __slots__ = ()
+    W_f = _Leaf()
+    b_f = _Leaf()
+
+
+class TemperatureParam(_Group):
+    """Softmax temperature stored as log_tau, so tau = exp(log_tau) > 0 by
+    construction; the gradient flows through the exponential."""
+
+    __slots__ = ()
+    log_tau = _ScalarLeaf()
+
+    @property
+    def tau(self) -> float:
+        return math.exp(self.log_tau)
+
+
+class AggregationParams(_Group):
+    """Projection vector w (length 2d) plus the positional embedding
+    choice; table, (grid_rows * grid_cols, d), is None in sinusoidal mode."""
+
+    __slots__ = ("positional_mode", "grid_rows", "grid_cols")
+    w = _Leaf()
+    table = _Leaf()
+
+
+class ModelParams(_Group):
+    """Every learnable tensor of the pipeline, as views into theta.
+
+    theta must be a finite vector with exactly the schema's scalar count;
+    a float64 theta is used as given, not copied. grid_rows and grid_cols
+    are kept in learned_table mode only.
+    """
+
+    __slots__ = ("theta", "_dims", "lwa", "gates", "fusion", "temp", "agg")
+
+    def __init__(self, theta, *, dim, window_size, heads, pos_mode="sinusoidal",
+                 grid_rows=None, grid_cols=None):
+        if pos_mode != "learned_table":
+            grid_rows = grid_cols = None
+        dims = dict(dim=dim, window_size=window_size, heads=heads, pos_mode=pos_mode,
+                    grid_rows=grid_rows, grid_cols=grid_cols)
+        schema = _schema(**dims)
+        theta = np.asarray(theta, dtype=np.float64)
+        size = sum(math.prod(shape) for _, shape, _ in schema)
+        if theta.shape != (size,):
+            raise ValueError(f"parameter vector must have shape ({size},), got {theta.shape}")
+        views, pos = {}, 0
+        for name, shape, _ in schema:
+            views[name] = theta[pos : pos + math.prod(shape)].reshape(shape)
+            pos += views[name].size
+        if not np.isfinite(theta).all():
+            bad = next(name for name, v in views.items() if not np.isfinite(v).all())
+            raise ValueError(f"parameter leaf {bad!r} holds a non-finite value")
+        # group the views by name: "lwa.h0.W_Q" -> tree["lwa"]["h0"]["W_Q"]
+        tree: dict = {}
+        for name, view in views.items():
+            *path, leaf = name.split(".")
+            node = tree
+            for key in path:
+                node = node.setdefault(key, {})
+            node[leaf] = view
+        head_groups = tuple(AttentionHeadParams._over(v) for v in tree["lwa"].values())
+        for key, value in (
+            ("theta", theta),
+            ("_views", views),
+            ("_dims", dims),
+            ("lwa", LwaParams._over({}, heads=head_groups)),
+            ("gates", GateParams._over(tree["gates"])),
+            ("fusion", FusionParams._over(tree["fusion"])),
+            ("temp", TemperatureParam._over(tree["temp"])),
+            ("agg", AggregationParams._over(tree["agg"], positional_mode=pos_mode,
+                                            grid_rows=grid_rows, grid_cols=grid_cols)),
+        ):
+            object.__setattr__(self, key, value)
+
+    @property
+    def dims(self) -> dict:
+        """The schema's dims, as ModelParams takes them by keyword."""
+        return dict(self._dims)
+
+    @property
+    def dim(self) -> int:
+        return self._dims["dim"]
+
+    @property
+    def window_size(self) -> int:
+        return self._dims["window_size"]
 
     @property
     def n_heads(self) -> int:
-        return self.lwa.n_heads
+        return self._dims["heads"]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The view of the leaf called name."""
+        return self._views[name]
 
     def leaves(self) -> list[tuple[str, np.ndarray]]:
-        """Named leaf tensors in the stable flat order."""
-        out = []
-        for l, head in enumerate(self.lwa.heads):
-            out.append((f"lwa.h{l}.W_Q", head.W_Q))
-            out.append((f"lwa.h{l}.W_K", head.W_K))
-            out.append((f"lwa.h{l}.W_V", head.W_V))
-            out.append((f"lwa.h{l}.bias_table", head.bias_table))
-        out.append(("gates.w_g", self.gates.w_g))
-        out.append(("gates.b_g", self.gates.b_g))
-        out.append(("fusion.W_f", self.fusion.W_f))
-        out.append(("fusion.b_f", self.fusion.b_f))
-        out.append(("temp.log_tau", np.array([self.temp.log_tau])))
-        out.append(("agg.w", self.agg.w))
-        if self.agg.learned_table is not None:
-            out.append(("agg.table", self.agg.learned_table))
-        return out
+        """Named leaf views in schema order; together they tile theta."""
+        return list(self._views.items())
 
     @property
     def n_scalars(self) -> int:
-        return sum(arr.size for _, arr in self.leaves())
+        return self.theta.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.leaves()])
+        """A copy of theta."""
+        return self.theta.copy()
 
     def with_flat(self, vec: np.ndarray) -> "ModelParams":
-        """A new ModelParams with the same structure and values taken from vec."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_scalars,):
-            raise ValueError(f"flat vector must have {self.n_scalars} scalars")
-        pieces = {}
-        pos = 0
-        for name, arr in self.leaves():
-            pieces[name] = vec[pos : pos + arr.size].reshape(arr.shape).copy()
-            pos += arr.size
-        return _assemble(
-            pieces,
-            dim=self.dim,
-            heads=self.n_heads,
-            pos_mode=self.agg.positional_mode,
-            grid_rows=self.agg.grid_rows,
-            grid_cols=self.agg.grid_cols,
-        )
+        """A new ModelParams of the same schema over a copy of vec."""
+        return ModelParams(np.array(vec, dtype=np.float64), **self._dims)
 
     def decay_mask(self) -> np.ndarray:
-        """Per-scalar flag: True where weight decay applies.
-
-        Decay hits projection matrices, bias/positional tables, and the gate
-        and aggregation projections; never log_tau, b_g, or b_f.
-        """
-        skip = {"gates.b_g", "fusion.b_f", "temp.log_tau"}
-        parts = []
-        for name, arr in self.leaves():
-            parts.append(np.full(arr.size, name not in skip))
-        return np.concatenate(parts)
+        """Read-only per-scalar flags, True where weight decay applies; one
+        array per schema."""
+        return _decay_mask(**self._dims)
 
 
-def _assemble(pieces, *, dim, heads, pos_mode, grid_rows, grid_cols) -> ModelParams:
-    head_params = [
-        AttentionHeadParams(
-            pieces[f"lwa.h{l}.W_Q"],
-            pieces[f"lwa.h{l}.W_K"],
-            pieces[f"lwa.h{l}.W_V"],
-            pieces[f"lwa.h{l}.bias_table"],
-        )
-        for l in range(heads)
-    ]
-    return ModelParams(
-        lwa=LwaParams(head_params, dim),
-        gates=GateParams(pieces["gates.w_g"], pieces["gates.b_g"]),
-        fusion=FusionParams(pieces["fusion.W_f"], pieces["fusion.b_f"]),
-        temp=TemperatureParam(float(pieces["temp.log_tau"][0])),
-        agg=AggregationParams(
-            pieces["agg.w"],
-            positional_mode=pos_mode,
-            learned_table=pieces.get("agg.table"),
-            grid_rows=grid_rows if pos_mode == "learned_table" else None,
-            grid_cols=grid_cols if pos_mode == "learned_table" else None,
-        ),
-    )
+def _zeros(**dims) -> ModelParams:
+    size = sum(math.prod(shape) for _, shape, _ in _schema(**dims))
+    return ModelParams(np.zeros(size), **dims)
 
 
 def init_params(
@@ -163,51 +333,27 @@ def init_params(
 
     Projections draw from normal(0, 1/sqrt(d)); bias tables, gate weights
     and biases, b_f, and the aggregation w start at zero; W_f starts at
-    identity; tau starts at tau0.
+    identity; tau starts at tau0; the learned positional table draws from
+    normal(0, 0.02).
     """
-    if dim < 1 or window_size < 1 or heads < 1:
-        raise ValueError("dim, window_size, and heads must be positive")
-    if pos_mode == "learned_table" and (grid_rows is None or grid_cols is None):
-        raise ValueError("learned_table mode requires grid dims")
+    params = _zeros(dim=dim, window_size=window_size, heads=heads, pos_mode=pos_mode,
+                    grid_rows=grid_rows, grid_cols=grid_cols)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(dim)
-    side = 2 * window_size - 1
-    head_params = []
-    for _ in range(heads):
-        head_params.append(
-            AttentionHeadParams(
-                rng.standard_normal((dim, dim)) * scale,
-                rng.standard_normal((dim, dim)) * scale,
-                rng.standard_normal((dim, dim)) * scale,
-                np.zeros((side, side)),
-            )
-        )
-    table = None
-    if pos_mode == "learned_table":
-        table = rng.standard_normal((grid_rows * grid_cols, dim)) * 0.02
-    return ModelParams(
-        lwa=LwaParams(head_params, dim),
-        gates=GateParams(np.zeros((heads, dim)), np.zeros(heads)),
-        fusion=FusionParams(np.eye(dim), np.zeros(dim)),
-        temp=TemperatureParam(math.log(tau0)),
-        agg=AggregationParams(
-            np.zeros(2 * dim),
-            positional_mode=pos_mode,
-            learned_table=table,
-            grid_rows=grid_rows if pos_mode == "learned_table" else None,
-            grid_cols=grid_cols if pos_mode == "learned_table" else None,
-        ),
-    )
+    for head in params.lwa.heads:
+        head.W_Q = rng.standard_normal((dim, dim)) * scale
+        head.W_K = rng.standard_normal((dim, dim)) * scale
+        head.W_V = rng.standard_normal((dim, dim)) * scale
+    params.fusion.W_f = np.eye(dim)
+    params.temp.log_tau = math.log(tau0)
+    if params.agg.table is not None:
+        params.agg.table = rng.standard_normal(params.agg.table.shape) * 0.02
+    return params
 
 
-def grad_zeros(params: ModelParams) -> GradientBundle:
-    """A zero gradient bundle shape-congruent with params."""
-    return {name: np.zeros_like(arr) for name, arr in params.leaves()}
-
-
-def flatten_grads(grads: GradientBundle, params: ModelParams) -> np.ndarray:
-    """Gradient bundle flattened in the params leaf order."""
-    return np.concatenate([grads[name].ravel() for name, _ in params.leaves()])
+def grad_zeros(params: ModelParams) -> ModelParams:
+    """A zero gradient: a ModelParams of the same schema."""
+    return _zeros(**params.dims)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -239,68 +385,64 @@ def load_checkpoint(
     expect_window_size: int | None = None,
     expect_heads: int | None = None,
 ) -> ModelParams:
-    """Read a checkpoint, optionally enforcing the run's model dims."""
+    """Read a checkpoint, optionally enforcing the run's model dims.
+
+    The file is read line by line, each leaf parsed into its slice of a
+    preallocated theta. Blank lines are skipped; an unknown, duplicate,
+    missing, miscounted or non-finite leaf raises a ValueError naming the
+    file and the leaf.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty checkpoint")
-    header = _json_object(lines[0], path, "checkpoint header")
-    if header.get("format") != "fgpan-checkpoint":
-        raise ValueError(f"{path}: not a checkpoint file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {header.get('version')} "
-            f"not supported (expected {CHECKPOINT_VERSION})"
-        )
-    dim, window_size, heads, pos_mode, grid_rows, grid_cols = _header_fields(
-        header, path, "checkpoint header",
-        dim="int>0", window_size="int>0", heads="int>0", pos_mode="str",
-        grid_rows="int?", grid_cols="int?",
-    )
-    if pos_mode == "learned_table" and (grid_rows is None or grid_cols is None):
-        raise ValueError(f"{path}: learned_table checkpoint without grid dims")
-    for label, got, want in (
-        ("dim", dim, expect_dim),
-        ("window_size", window_size, expect_window_size),
-        ("heads", heads, expect_heads),
-    ):
-        if want is not None and got != want:
-            raise ValueError(f"{path}: checkpoint {label}={got}, run expects {want}")
+        lines = (ln for ln in fh if ln.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty checkpoint")
+        header = _json_object(first, path, "checkpoint header")
+        if header.get("format") != "fgpan-checkpoint":
+            raise ValueError(f"{path}: not a checkpoint file")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"{path}: checkpoint version {header.get('version')} "
+                f"not supported (expected {CHECKPOINT_VERSION})"
+            )
+        kinds = dict(dim="int>0", window_size="int>0", heads="int>0", pos_mode="str",
+                     grid_rows="int?", grid_cols="int?")
+        dims = dict(zip(kinds, _header_fields(header, path, "checkpoint header", **kinds)))
+        if dims["pos_mode"] == "learned_table" and None in (dims["grid_rows"], dims["grid_cols"]):
+            raise ValueError(f"{path}: learned_table checkpoint without grid dims")
+        for label, want in (
+            ("dim", expect_dim),
+            ("window_size", expect_window_size),
+            ("heads", expect_heads),
+        ):
+            if want is not None and dims[label] != want:
+                raise ValueError(f"{path}: checkpoint {label}={dims[label]}, run expects {want}")
+        try:
+            params = _zeros(**dims)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
-    side = 2 * window_size - 1
-    shapes: dict[str, tuple] = {}
-    for l in range(heads):
-        shapes[f"lwa.h{l}.W_Q"] = (dim, dim)
-        shapes[f"lwa.h{l}.W_K"] = (dim, dim)
-        shapes[f"lwa.h{l}.W_V"] = (dim, dim)
-        shapes[f"lwa.h{l}.bias_table"] = (side, side)
-    shapes["gates.w_g"] = (heads, dim)
-    shapes["gates.b_g"] = (heads,)
-    shapes["fusion.W_f"] = (dim, dim)
-    shapes["fusion.b_f"] = (dim,)
-    shapes["temp.log_tau"] = (1,)
-    shapes["agg.w"] = (2 * dim,)
-    if pos_mode == "learned_table":
-        shapes["agg.table"] = (grid_rows * grid_cols, dim)
-
-    pieces = {}
-    for ln in lines[1:]:
-        name, _, rest = ln.partition(" ")
-        if name not in shapes:
-            raise ValueError(f"{path}: unexpected checkpoint leaf {name!r}")
-        shape = shapes[name]
-        vals = _parse_decimals(rest.split(), f"{path}: leaf {name!r}")
-        if vals.size != int(np.prod(shape)):
-            raise ValueError(f"{path}: leaf {name!r} has {vals.size} values, expected {shape}")
-        pieces[name] = vals.reshape(shape)
-    missing = set(shapes) - set(pieces)
+        seen = set()
+        for ln in lines:
+            name, _, rest = ln.partition(" ")
+            try:
+                leaf = params[name]
+            except KeyError:
+                raise ValueError(f"{path}: unexpected checkpoint leaf {name!r}") from None
+            if name in seen:
+                raise ValueError(f"{path}: duplicate checkpoint leaf {name!r}")
+            seen.add(name)
+            vals = _parse_decimals(rest.split(), f"{path}: leaf {name!r}")
+            if vals.size != leaf.size:
+                raise ValueError(
+                    f"{path}: leaf {name!r} has {vals.size} values, expected {leaf.shape}"
+                )
+            leaf.reshape(-1)[:] = vals
+    missing = [name for name, _ in params.leaves() if name not in seen]
     if missing:
         raise ValueError(f"{path}: checkpoint missing leaves {sorted(missing)}")
-    return _assemble(
-        pieces,
-        dim=dim,
-        heads=heads,
-        pos_mode=pos_mode,
-        grid_rows=grid_rows,
-        grid_cols=grid_cols,
-    )
+    try:
+        # rebuilt over the filled theta (no copy) for the finiteness check
+        return ModelParams(params.theta, **dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -29,13 +29,7 @@ from .aggregation import (
 )
 from .attention import partition_coords, window_attention, window_attention_backward
 from .data import ClassPrototype, PrototypeSet, SlideRecord
-from .params import (
-    GradientBundle,
-    ModelParams,
-    flatten_grads,
-    grad_zeros,
-    init_params,
-)
+from .params import ModelParams, grad_zeros, init_params
 from .prototypes import _NORM_TOL
 
 __all__ = [
@@ -223,7 +217,7 @@ def _stack_objective(cache: dict, labels: list[int], lam: float):
 
 def _backward_core(
     cache: dict, labels: list[int], lam: float, r: np.ndarray, params: ModelParams,
-    t_mat: np.ndarray, grads: GradientBundle,
+    t_mat: np.ndarray, grads: ModelParams,
 ) -> None:
     """Accumulate the (unscaled) gradient contribution of a stack's slides
     into grads; r is the responsibility vector from _stack_objective."""
@@ -238,7 +232,7 @@ def _backward_core(
     dz = coef[:, None] * p
     dz[np.arange(p.shape[0]), np.repeat(labels, sizes)] -= coef
     du = lam * (cache["alpha"] - r)
-    grads["temp.log_tau"][0] += -(dz * cache["z_cls"]).sum()
+    grads.temp.log_tau += -(dz * cache["z_cls"]).sum()
     ds = dz / cache["tau"]
 
     # cosine scores s = h_hat . T_c
@@ -249,38 +243,38 @@ def _backward_core(
     ][:, None]
 
     # aggregation logits u = [H || phi] . w
-    grads["agg.w"] += cache["u_in"].T @ du
+    grads.agg.w += cache["u_in"].T @ du
     dh += du[:, None] * params.agg.w[None, :d]
     if params.agg.positional_mode == "learned_table":
         coords = cache["coords"]
         flat = coords[:, 0] * params.agg.grid_cols + coords[:, 1]
-        np.add.at(grads["agg.table"], flat, du[:, None] * params.agg.w[None, d:])
+        np.add.at(grads.agg.table, flat, du[:, None] * params.agg.w[None, d:])
 
     if not cache["lwa_gff"]:
         return
 
     # fusion H = W_f G + b_f
     g_sum = cache["g_sum"]
-    grads["fusion.W_f"] += dh.T @ g_sum
-    grads["fusion.b_f"] += dh.sum(axis=0)
+    grads.fusion.W_f += dh.T @ g_sum
+    grads.fusion.b_f += dh.sum(axis=0)
     dg = dh @ params.fusion.W_f
 
     gamma = cache["gamma"]
-    for l, (head, h_l, head_cache) in enumerate(
-        zip(params.lwa.heads, cache["heads_h"], cache["attn"])
+    for l, (head, g_head, h_l, head_cache) in enumerate(
+        zip(params.lwa.heads, grads.lwa.heads, cache["heads_h"], cache["attn"])
     ):
         d_gamma = (dg * h_l).sum(axis=1)
         da = gamma[l] * (1.0 - gamma[l]) * d_gamma
-        grads["gates.w_g"][l] += h_l.T @ da
-        grads["gates.b_g"][l] += da.sum()
+        grads.gates.w_g[l] += h_l.T @ da
+        grads.gates.b_g[l] += da.sum()
         dh_l = gamma[l][:, None] * dg + da[:, None] * params.gates.w_g[l][None, :]
         d_wq, d_wk, d_wv, d_bias = window_attention_backward(
             cache["f"], cache["layout"], head, head_cache, dh_l
         )
-        grads[f"lwa.h{l}.W_Q"] += d_wq
-        grads[f"lwa.h{l}.W_K"] += d_wk
-        grads[f"lwa.h{l}.W_V"] += d_wv
-        grads[f"lwa.h{l}.bias_table"] += d_bias
+        g_head.W_Q += d_wq
+        g_head.W_K += d_wk
+        g_head.W_V += d_wv
+        g_head.bias_table += d_bias
 
 
 def forward_slide(
@@ -368,7 +362,7 @@ def grad_total_loss(
     lam: float,
     *,
     lwa_gff: bool = True,
-) -> tuple[float, GradientBundle]:
+) -> tuple[float, ModelParams]:
     """total_loss and its exact gradient for every parameter leaf, from one
     forward and one backward pass per stack."""
     if not slides:
@@ -383,9 +377,7 @@ def grad_total_loss(
         loss, r = _stack_objective(cache, labels, lam)
         total += loss
         _backward_core(cache, labels, lam, r, params, t_mat, grads)
-    inv = 1.0 / len(slides)
-    for name in grads:
-        grads[name] *= inv
+    grads.theta *= 1.0 / len(slides)
     return total / len(slides), grads
 
 
@@ -418,7 +410,7 @@ def finite_diff_check(
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     _, grads = grad_total_loss(slides, params, pset, lam, lwa_gff=lwa_gff)
-    analytic = flatten_grads(grads, params)
+    analytic = grads.theta
     base = params.flatten()
     n = base.size
     if n <= limit:
@@ -440,17 +432,18 @@ def finite_diff_check(
 
 def adamw_step(
     params: ModelParams,
-    grads: GradientBundle,
+    grads: ModelParams,
     state: dict | None,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, dict]:
-    """One decoupled-weight-decay Adam update; returns new params and state.
+    """One decoupled-weight-decay Adam update over the flat vectors; returns
+    new params and state, leaving params itself unchanged.
 
-    Weight decay applies to matrices and tables only, never to log_tau or
-    the scalar biases.
+    Weight decay applies where params.decay_mask() says: matrices and
+    tables, never log_tau or the scalar biases.
     """
-    g = flatten_grads(grads, params)
-    theta = params.flatten()
+    g = grads.theta
+    theta = params.theta
     if state is None or not state:
         state = {"step": 0, "m": np.zeros_like(theta), "v": np.zeros_like(theta)}
     if g.shape != theta.shape or state["m"].shape != theta.shape:
@@ -463,7 +456,7 @@ def adamw_step(
     v_hat = v / (1.0 - b2**t)
     update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     decay = cfg.learning_rate * cfg.weight_decay * theta * params.decay_mask()
-    return params.with_flat(theta - update - decay), {"step": t, "m": m, "v": v}
+    return ModelParams(theta - update - decay, **params.dims), {"step": t, "m": m, "v": v}
 
 
 def train(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from fgpan.attention import AttentionHeadParams
+from fgpan.params import AttentionHeadParams
 from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
 from fgpan.training import _forward_core
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import forward_cache, make_pset, make_slide
 
-from fgpan.aggregation import AggregationParams, SlidePrediction, sinusoidal_embeddings
+from fgpan.aggregation import SlidePrediction, sinusoidal_embeddings
 from fgpan.params import ModelParams, init_params
 from fgpan.training import forward_slide, total_loss
 
@@ -85,16 +85,21 @@ class TestPatchWeights:
                                    base, atol=1e-12)
 
     def test_wrong_w_length(self):
+        """w has length 2d: [feature || positional embedding]."""
         params = init_params(4, 2, 1, seed=0)
-        with pytest.raises(ValueError, match="length 2d"):
-            ModelParams(params.lwa, params.gates, params.fusion, params.temp,
-                        AggregationParams(np.zeros(6)))
+        with pytest.raises(ValueError, match=r"w must have shape \(8,\)"):
+            params.agg.w = np.zeros(6)
 
     def test_learned_table_requires_table(self):
-        with pytest.raises(ValueError, match="requires a table"):
-            AggregationParams(np.zeros(8), positional_mode="learned_table")
-        with pytest.raises(ValueError, match="absent in sinusoidal"):
-            AggregationParams(np.zeros(8), learned_table=np.zeros((4, 4)))
+        """learned_table mode needs grid dims for its table; sinusoidal mode
+        has no table to assign."""
+        n = init_params(4, 2, 1, seed=0).n_scalars
+        with pytest.raises(ValueError, match="requires positive grid dims"):
+            ModelParams(np.zeros(n), dim=4, window_size=2, heads=1, pos_mode="learned_table")
+        params = init_params(4, 2, 1, seed=0)
+        assert params.agg.table is None
+        with pytest.raises(AttributeError, match="no table leaf"):
+            params.agg.table = np.zeros((4, 4))
 
     def test_learned_table_out_of_grid(self):
         params = init_params(4, 2, 1, seed=0, pos_mode="learned_table",

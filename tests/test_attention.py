@@ -7,8 +7,8 @@ from conftest import dense_attention_reference, forward_cache, make_pset, make_s
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgpan.attention import AttentionHeadParams, partition_coords, window_attention
-from fgpan.params import flatten_grads, init_params
+from fgpan.attention import partition_coords, window_attention
+from fgpan.params import init_params
 from fgpan.training import (
     _central_difference,
     forward_slide,
@@ -233,10 +233,8 @@ class TestLwaForward:
         """Two heads with equal weights give equal outputs in the forward cache."""
         params = init_params(4, 2, 2, seed=11)
         h0, h1 = params.lwa.heads
-        params.lwa.heads[1] = AttentionHeadParams(
-            h0.W_Q.copy(), h0.W_K.copy(), h0.W_V.copy(), h0.bias_table.copy()
-        )
         assert not np.array_equal(h1.W_Q, h0.W_Q)
+        h1.W_Q, h1.W_K, h1.W_V, h1.bias_table = h0.W_Q, h0.W_K, h0.W_V, h0.bias_table
         rng = np.random.default_rng(11)
         cache = forward_cache(
             rng.standard_normal((3, 4)), [(0, 0), (0, 1), (2, 2)], params, np.eye(4)[:2]
@@ -253,7 +251,7 @@ def attention_fd_error(slides, params, pset, lam, step=1e-2):
     roundoff error of the difference itself), while extrapolating from
     steps 1e-2 and 5e-3 resolves them."""
     _, grads = grad_total_loss(slides, params, pset, lam)
-    analytic = flatten_grads(grads, params)
+    analytic = grads.flatten()
     base = params.flatten()
 
     def loss_at(vec):

@@ -359,6 +359,37 @@ class TestPrototypeFiles:
         with pytest.raises(ValueError, match="empty"):
             load_prototypes(path)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("class_id", '"abc"', "field 'class_id' must be an integer, got 'abc'"),
+        ("class_id", "1.5", "field 'class_id' must be an integer, got 1.5"),
+        ("class_id", "true", "field 'class_id' must be an integer"),
+        ("name", "5", "field 'name' must be a string, got 5"),
+        ("description", "null", "field 'description' must be a string"),
+        ("embedding", '"xy"', "field 'embedding' must be a non-empty list of finite numbers"),
+        ("embedding", "[[1.0, 0.0]]", "field 'embedding' must be a non-empty list"),
+        ("embedding", "[1.0, NaN]", "field 'embedding' must be a non-empty list"),
+        ("embedding", "[1.0, Infinity]", "field 'embedding' must be a non-empty list"),
+        ("embedding", '[1.0, "2"]', "field 'embedding' must be a non-empty list"),
+        ("embedding", "[]", "field 'embedding' must be a non-empty list"),
+        ("embedding", None, "missing field 'embedding'"),
+    ])
+    def test_bad_field_names_file_and_line(self, tmp_path, field, value, match):
+        """A prototype field of the wrong type is refused with the file and
+        the line (blank lines counted) in the message."""
+        fields = {"class_id": "1", "name": '"b"', "description": '"y"', "embedding": "[0.0, 1.0]"}
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"class_id": 0, "name": "a", "description": "x", "embedding": [1.0, 0.0]}\n\n'
+            + bad + "\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl: malformed prototype line 3: " + match):
+            load_prototypes(path)
+
     def test_class_ids_reindexed_in_file_order(self, tmp_path):
         path = tmp_path / "sparse.jsonl"
         path.write_text(

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from conftest import forward_cache
 
-from fgpan.fusion import FusionParams, GateParams
-from fgpan.params import ModelParams, init_params
+from fgpan.params import init_params
 
 COORDS = [(0, 0), (0, 1), (1, 1), (3, 2), (2, 3)]
 PROTOS = np.eye(4)[:2]
@@ -61,10 +60,13 @@ class TestGate:
         assert all(np.all(b > a) for a, b in zip(gammas, gammas[1:]))
 
     def test_dim_mismatch(self):
+        """Gate weights of another feature dim are refused and leave the
+        parameters as they were."""
         params = init_params(3, 2, 2, seed=0)
-        with pytest.raises(ValueError, match="gate/fusion dimensions"):
-            ModelParams(params.lwa, GateParams(np.zeros((2, 2)), np.zeros(2)),
-                        params.fusion, params.temp, params.agg)
+        before = params.flatten()
+        with pytest.raises(ValueError, match=r"w_g must have shape \(2, 3\)"):
+            params.gates.w_g = np.zeros((2, 2))
+        np.testing.assert_array_equal(params.flatten(), before)
 
 
 class TestFusion:
@@ -77,7 +79,8 @@ class TestFusion:
     def test_two_equal_heads_double(self):
         """Two equal heads at gamma = 0.5 sum to one full head output."""
         params = init_params(4, 2, 2, seed=5)
-        params.lwa.heads[1] = params.lwa.heads[0]
+        h0, h1 = params.lwa.heads
+        h1.W_Q, h1.W_K, h1.W_V, h1.bias_table = h0.W_Q, h0.W_K, h0.W_V, h0.bias_table
         cache = run(params)
         np.testing.assert_array_equal(cache["h"], cache["heads_h"][0])
 
@@ -100,12 +103,18 @@ class TestFusion:
 
     def test_dim_mismatch(self):
         params = init_params(3, 2, 2, seed=0)
-        with pytest.raises(ValueError, match="gate/fusion dimensions"):
-            ModelParams(params.lwa, params.gates, FusionParams(np.eye(2), np.zeros(2)),
-                        params.temp, params.agg)
+        with pytest.raises(ValueError, match=r"W_f must have shape \(3, 3\)"):
+            params.fusion.W_f = np.eye(2)
+        with pytest.raises(ValueError, match=r"b_f must have shape \(3,\)"):
+            params.fusion.b_f = np.zeros(2)
 
     def test_gate_params_validated(self):
+        """A gate leaf of the wrong shape, or a non-finite one, is refused."""
+        params = init_params(2, 1, 1, seed=0)
         with pytest.raises(ValueError, match="w_g"):
-            GateParams(np.zeros(3), np.zeros(1))
-        with pytest.raises(ValueError, match="non-finite"):
-            GateParams(np.full((1, 2), np.nan), np.zeros(1))
+            params.gates.w_g = np.zeros(3)
+        vec = params.flatten()
+        start = sum(arr.size for name, arr in params.leaves()[:4])
+        vec[start] = np.nan
+        with pytest.raises(ValueError, match="'gates.w_g' holds a non-finite value"):
+            params.with_flat(vec)

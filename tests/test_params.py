@@ -1,5 +1,6 @@
-"""Parameter initialization, flat ordering, and checkpoint IO."""
+"""The parameter schema, initialization, flat ordering, and checkpoint IO."""
 
+import operator
 import os
 import tempfile
 
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL
 
-from fgpan.params import init_params, load_checkpoint, save_checkpoint
+from fgpan.params import AttentionHeadParams, _schema, init_params, load_checkpoint, save_checkpoint
+
+# every leaf of a learned_table model, the largest schema
+TABLE_LEAVES = [
+    name for name, _ in
+    init_params(4, 2, 2, pos_mode="learned_table", grid_rows=2, grid_cols=3).leaves()
+]
 
 
 class TestInit:
@@ -37,9 +44,9 @@ class TestInit:
 
     def test_learned_table_drawn_only_when_used(self):
         p = init_params(8, 2, 2, seed=0, pos_mode="learned_table", grid_rows=3, grid_cols=3)
-        assert p.agg.learned_table.shape == (9, 8)
+        assert p.agg.table.shape == (9, 8)
         q = init_params(8, 2, 2, seed=0)
-        assert q.agg.learned_table is None
+        assert q.agg.table is None
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -89,6 +96,110 @@ class TestFlatOrdering:
         assert not by_name["gates.b_g"].any()
         assert not by_name["fusion.b_f"].any()
         assert not by_name["temp.log_tau"].any()
+
+
+class TestSchema:
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(["sinusoidal", "learned_table"]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_leaves_tile_theta_in_schema_order(self, dim, s, heads, pos_mode, rows, cols):
+        """leaves() are views of theta in schema order, covering each scalar
+        exactly once, and save_checkpoint writes its leaf lines in that
+        order."""
+        params = init_params(dim, s, heads, grid_rows=rows, grid_cols=cols, pos_mode=pos_mode)
+        schema = _schema(dim, s, heads, pos_mode,
+                         rows if pos_mode == "learned_table" else None,
+                         cols if pos_mode == "learned_table" else None)
+        leaves = params.leaves()
+        assert [(n, a.shape) for n, a in leaves] == [(n, shape) for n, shape, _ in schema]
+        base = params.theta.__array_interface__["data"][0]
+        pos = 0
+        for _, arr in leaves:
+            assert np.shares_memory(arr, params.theta) and arr.flags.c_contiguous
+            assert arr.__array_interface__["data"][0] == base + 8 * pos
+            pos += arr.size
+        assert pos == params.theta.size == params.n_scalars
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for _, a in leaves]),
+                                      params.flatten())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.ckpt")
+            save_checkpoint(params, path)
+            with open(path, encoding="utf-8") as fh:
+                names = [ln.split(" ", 1)[0] for ln in fh.read().splitlines()[1:]]
+        assert names == [n for n, _ in leaves]
+
+    @pytest.mark.parametrize("group, attr, value, leaf", [
+        (lambda p: p.temp, "log_tau", 0.25, "temp.log_tau"),
+        (lambda p: p.fusion, "W_f", np.full((4, 4), 0.5), "fusion.W_f"),
+        (lambda p: p.gates, "b_g", np.array([1.0, -1.0]), "gates.b_g"),
+        (lambda p: p.agg, "table", np.ones((6, 4)), "agg.table"),
+        (lambda p: p.lwa.heads[1], "bias_table", np.ones((3, 3)), "lwa.h1.bias_table"),
+    ], ids=["log_tau", "W_f", "b_g", "table", "bias_table"])
+    def test_leaf_rebinding_writes_through(self, group, attr, value, leaf):
+        """Assigning a leaf attribute changes exactly that leaf's slice of
+        flatten()."""
+        p = init_params(4, 2, 2, seed=1, pos_mode="learned_table", grid_rows=2, grid_cols=3)
+        before = p.flatten()
+        setattr(group(p), attr, value)
+        after = p.flatten()
+        np.testing.assert_array_equal(p[leaf].ravel(), np.ravel(value))
+        np.testing.assert_array_equal(np.delete(after, _offsets(p)[leaf]),
+                                      np.delete(before, _offsets(p)[leaf]))
+
+    @pytest.mark.parametrize("rebind, error", [
+        (lambda p: operator.setitem(p.lwa.heads, 1, p.lwa.heads[0]), TypeError),
+        (lambda p: setattr(p.lwa, "heads", ()), AttributeError),
+        (lambda p: setattr(p, "gates", p.fusion), AttributeError),
+        (lambda p: setattr(p, "theta", np.zeros(p.n_scalars)), AttributeError),
+        (lambda p: setattr(p.agg, "positional_mode", "learned_table"), AttributeError),
+        (lambda p: setattr(p.agg, "table", np.zeros((4, 4))), AttributeError),
+        (lambda p: setattr(p.fusion, "W_g", np.eye(4)), AttributeError),
+        (lambda p: setattr(p.fusion, "W_f", np.eye(3)), ValueError),
+    ], ids=["heads[1]", "heads", "gates", "theta", "positional_mode", "sinusoidal-table",
+            "unknown-leaf", "wrong-shape"])
+    def test_other_rebinding_raises(self, rebind, error):
+        """Anything but a leaf assignment of the right shape raises and
+        leaves theta as it was."""
+        p = init_params(4, 2, 2, seed=1)
+        before = p.flatten()
+        with pytest.raises(error):
+            rebind(p)
+        np.testing.assert_array_equal(p.flatten(), before)
+
+    def test_wrong_vector_length(self):
+        p = init_params(4, 2, 1, seed=0)
+        with pytest.raises(ValueError, match=rf"must have shape \({p.n_scalars},\)"):
+            p.with_flat(np.zeros(p.n_scalars + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_flat_refuses_non_finite(self, bad):
+        p = init_params(4, 2, 1, seed=0)
+        vec = p.flatten()
+        vec[-1] = bad
+        with pytest.raises(ValueError, match="leaf 'agg.w' holds a non-finite value"):
+            p.with_flat(vec)
+
+    def test_standalone_head_validated(self):
+        with pytest.raises(ValueError, match="square"):
+            AttentionHeadParams(np.eye(2), np.eye(2), np.ones((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="odd side"):
+            AttentionHeadParams(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            AttentionHeadParams(np.eye(2), np.eye(2), np.eye(2), np.full((3, 3), np.nan))
+
+
+def _offsets(p):
+    out, pos = {}, 0
+    for name, arr in p.leaves():
+        out[name] = slice(pos, pos + arr.size)
+        pos += arr.size
+    return out
 
 
 class TestCheckpoint:
@@ -172,6 +283,45 @@ class TestCheckpoint:
         path.write_text(path.read_text().replace("agg.w ", "agg.w oops ", 1))
         with pytest.raises(ValueError, match=r"ckpt\.txt: leaf 'agg\.w': could not convert"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("leaf", TABLE_LEAVES)
+    def test_non_finite_value_names_file_and_leaf(self, tmp_path, leaf, token):
+        p = init_params(4, 2, 2, seed=0, pos_mode="learned_table", grid_rows=2, grid_cols=3)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        lines = path.read_text().splitlines()
+        for i, ln in enumerate(lines):
+            tokens = ln.split(" ")
+            if tokens[0] == leaf:
+                tokens[1] = token  # the leaf's first value
+                lines[i] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"ckpt\.txt: parameter leaf '{leaf}' holds a non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines + [lines[4]], "duplicate checkpoint leaf 'lwa.h0.bias_table'"),
+        (lambda lines: lines[:4] + [lines[4] + " 0.5"] + lines[5:],
+         r"leaf 'lwa.h0.bias_table' has 10 values, expected \(3, 3\)"),
+        (lambda lines: lines + ["agg.extra 1.0"], "unexpected checkpoint leaf 'agg.extra'"),
+        (lambda lines: [], "empty checkpoint"),
+    ], ids=["duplicate", "wrong-count", "unknown", "empty"])
+    def test_malformed_body_rejected(self, tmp_path, edit, match):
+        p = init_params(4, 2, 1, seed=0)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = init_params(4, 2, 1, seed=3)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+        np.testing.assert_array_equal(load_checkpoint(path).flatten(), p.flatten())
 
     def test_missing_leaf_rejected(self, tmp_path):
         p = init_params(4, 2, 1, seed=0)

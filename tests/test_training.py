@@ -16,7 +16,7 @@ from fgpan.data import (
     SyntheticConfig,
     gen_synthetic,
 )
-from fgpan.params import flatten_grads, grad_zeros, init_params
+from fgpan.params import grad_zeros, init_params
 from fgpan.training import (
     _STACK_ROWS,
     TrainConfig,
@@ -43,7 +43,7 @@ def assert_matches_oracle(slides, params, pset, lam=1.0, step=1e-4):
     oracle's noise floor for those.
     """
     _, grads = grad_total_loss(slides, params, pset, lam)
-    analytic = flatten_grads(grads, params)
+    analytic = grads.flatten()
     base = params.flatten()
 
     def loss_at(vec):
@@ -223,15 +223,14 @@ class TestGradients:
             loss, grads = grad_total_loss(slides, params, pset, 1.0)
             assert loss == total_loss(slides, params, pset, 1.0)
         assert math.isfinite(loss)
-        assert np.all(np.isfinite(flatten_grads(grads, params)))
+        assert np.all(np.isfinite(grads.flatten()))
 
     def test_deterministic(self):
         slides, pset, params = random_instance(2)
         loss_a, a = grad_total_loss(slides, params, pset, 1.0)
         loss_b, b = grad_total_loss(slides, params, pset, 1.0)
         assert loss_a == loss_b
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
+        np.testing.assert_array_equal(a.flatten(), b.flatten())
 
     def test_unused_table_rows_get_zero_gradient(self):
         """Learned-table rows for grid cells no patch occupies never move."""
@@ -248,7 +247,7 @@ class TestGradients:
     def test_ablation_off_freezes_refinement_params(self):
         slides, pset, params = random_instance(4)
         _, grads = grad_total_loss(slides, params, pset, 1.0, lwa_gff=False)
-        for name, g in grads.items():
+        for name, g in grads.leaves():
             if name.startswith(("lwa.", "gates.", "fusion.")):
                 np.testing.assert_array_equal(g, 0.0)
         assert np.any(grads["agg.w"] != 0.0) or np.any(grads["temp.log_tau"] != 0.0)
@@ -338,7 +337,7 @@ class TestStacks:
         assert abs(total_loss(slides, params, pset, lam, lwa_gff=lwa_gff) - want) <= (
             1e-12 * abs(want)
         )
-        for name, got in grads.items():
+        for name, got in grads.leaves():
             mean = sum(g[name] for _, g in singles) / len(slides)
             scale = np.abs(mean).max()
             assert np.abs(got - mean).max() <= 1e-12 * scale, name
@@ -357,8 +356,7 @@ class TestAdamW:
         so theta' = -0.01 / (1 + eps)."""
         params = init_params(2, 1, 1, seed=0)
         grads = grad_zeros(params)
-        for name in grads:
-            grads[name][:] = 1.0
+        grads.theta[:] = 1.0
         base = params.with_flat(np.zeros(params.n_scalars))
         cfg = TrainConfig(learning_rate=0.01, weight_decay=0.0)
         new, state = adamw_step(base, grads, None, cfg)
@@ -379,6 +377,22 @@ class TestAdamW:
         mask = params.decay_mask()
         np.testing.assert_allclose(new.flatten()[mask], vec[mask] * (1 - 0.1 * 0.5), rtol=1e-12)
         np.testing.assert_array_equal(new.flatten()[~mask], vec[~mask])
+
+
+    def test_previous_params_unchanged(self):
+        """adamw_step returns new params over a new vector; the caller's
+        params, its gradient and its state are left as they were."""
+        slides, pset, params = random_instance(7, randomize_params=True)
+        _, grads = grad_total_loss(slides, params, pset, 1.0)
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
+        _, state = adamw_step(params, grads, None, cfg)
+        before = [params.flatten(), grads.flatten(), state["m"].copy(), state["v"].copy()]
+        new, _ = adamw_step(params, grads, state, cfg)
+        assert not np.shares_memory(new.theta, params.theta)
+        assert np.any(new.flatten() != before[0])
+        for now, then in zip([params.flatten(), grads.flatten(), state["m"], state["v"]],
+                             before):
+            np.testing.assert_array_equal(now, then)
 
 
 class TestTrain:
