@@ -132,19 +132,17 @@ def window_attention_backward(
     contributes nothing.
     """
     q, k, v, a = cache
+    # dV -> dW_V, then dz and the bias, then dQ -> dW_Q and dK -> dW_K: each
+    # padded (n_windows, S^2, d) buffer is freed once it has been used
     do = _pad(d_out, layout)
+    d_wv = f.T @ _unpad(a.transpose(0, 2, 1) @ do, layout)
     d_a = do @ v.transpose(0, 2, 1)
-    dv = a.transpose(0, 2, 1) @ do
+    del do
     dz = a * (d_a - (a * d_a).sum(axis=2, keepdims=True))
     dz /= math.sqrt(head.dim)
-    dq = dz @ k
-    dk = dz.transpose(0, 2, 1) @ q
     d_bias = np.bincount(
         layout.bias_index.ravel(), dz.sum(axis=0).ravel(), minlength=head.bias_table.size
     ).reshape(head.bias_table.shape)
-    return (
-        f.T @ _unpad(dq, layout),
-        f.T @ _unpad(dk, layout),
-        f.T @ _unpad(dv, layout),
-        d_bias,
-    )
+    d_wq = f.T @ _unpad(dz @ k, layout)
+    d_wk = f.T @ _unpad(dz.transpose(0, 2, 1) @ q, layout)
+    return d_wq, d_wk, d_wv, d_bias

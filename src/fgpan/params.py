@@ -20,6 +20,7 @@ per leaf in schema order.
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -378,50 +379,74 @@ def save_checkpoint(params: ModelParams, path) -> None:
             fh.write("\n")
 
 
-def load_checkpoint(
-    path,
-    *,
-    expect_dim: int | None = None,
-    expect_window_size: int | None = None,
-    expect_heads: int | None = None,
-) -> ModelParams:
-    """Read a checkpoint, optionally enforcing the run's model dims.
+def _fast_decimals(text: str) -> np.ndarray | None:
+    """The values of one checkpoint line after its leaf name, parsed by one
+    np.fromstring call, which builds no string per value. None where that
+    call might not read them as the token parser does: text it does not
+    read to its end, blank text (which it reads as [-1.0]), or a non-finite
+    value, since it takes tokens such as nan(1) that float() refuses."""
+    if not text or text.isspace():
+        return None
+    try:
+        with warnings.catch_warnings():
+            # older numpy warns, rather than raises, on text it cannot read
+            warnings.simplefilter("error", DeprecationWarning)
+            vals = np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    return vals if np.isfinite(vals).all() else None
 
-    The file is read line by line, each leaf parsed into its slice of a
-    preallocated theta. Blank lines are skipped; an unknown, duplicate,
-    missing, miscounted or non-finite leaf raises a ValueError naming the
-    file and the leaf.
-    """
+
+def _checkpoint_zeros(line: str, path, expects: dict) -> ModelParams:
+    """Zero parameters of the dims a checkpoint header line declares, each
+    checked against expects (dim, window_size, heads; None: any)."""
+    header = _json_object(line, path, "checkpoint header")
+    if header.get("format") != "fgpan-checkpoint":
+        raise ValueError(f"{path}: not a checkpoint file")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint version {header.get('version')} "
+            f"not supported (expected {CHECKPOINT_VERSION})"
+        )
+    kinds = dict(dim="int>0", window_size="int>0", heads="int>0", pos_mode="str",
+                 grid_rows="int?", grid_cols="int?")
+    dims = dict(zip(kinds, _header_fields(header, path, "checkpoint header", **kinds)))
+    if dims["pos_mode"] == "learned_table" and None in (dims["grid_rows"], dims["grid_cols"]):
+        raise ValueError(f"{path}: learned_table checkpoint without grid dims")
+    for label, want in expects.items():
+        if want is not None and dims[label] != want:
+            raise ValueError(f"{path}: checkpoint {label}={dims[label]}, run expects {want}")
+    try:
+        return _zeros(**dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _fast_leaves(fh, params: ModelParams) -> bool:
+    """Fill params from the rest of an open checkpoint whose leaves come one
+    per line in schema order, each line's values read by _fast_decimals,
+    with nothing but blank lines after the last leaf; False at the first
+    line that is not so. The leaf name is read on its own, so the values
+    are parsed from readline's string as it is, with no copy of the line."""
+    for name, leaf in params.leaves():
+        if fh.readline(len(name) + 1) != name + " ":
+            return False
+        vals = _fast_decimals(fh.readline())
+        if vals is None or vals.size != leaf.size:
+            return False
+        leaf.reshape(-1)[:] = vals
+    return all(ln.isspace() for ln in fh)
+
+
+def _load_checkpoint_tokens(path, expects: dict) -> ModelParams:
+    """load_checkpoint by splitting each line into tokens: slower, and names
+    the first fault of a file _fast_leaves does not read."""
     with open(path, encoding="utf-8") as fh:
         lines = (ln for ln in fh if ln.strip())
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty checkpoint")
-        header = _json_object(first, path, "checkpoint header")
-        if header.get("format") != "fgpan-checkpoint":
-            raise ValueError(f"{path}: not a checkpoint file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"{path}: checkpoint version {header.get('version')} "
-                f"not supported (expected {CHECKPOINT_VERSION})"
-            )
-        kinds = dict(dim="int>0", window_size="int>0", heads="int>0", pos_mode="str",
-                     grid_rows="int?", grid_cols="int?")
-        dims = dict(zip(kinds, _header_fields(header, path, "checkpoint header", **kinds)))
-        if dims["pos_mode"] == "learned_table" and None in (dims["grid_rows"], dims["grid_cols"]):
-            raise ValueError(f"{path}: learned_table checkpoint without grid dims")
-        for label, want in (
-            ("dim", expect_dim),
-            ("window_size", expect_window_size),
-            ("heads", expect_heads),
-        ):
-            if want is not None and dims[label] != want:
-                raise ValueError(f"{path}: checkpoint {label}={dims[label]}, run expects {want}")
-        try:
-            params = _zeros(**dims)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
+        params = _checkpoint_zeros(first, path, expects)
         seen = set()
         for ln in lines:
             name, _, rest = ln.partition(" ")
@@ -443,6 +468,33 @@ def load_checkpoint(
         raise ValueError(f"{path}: checkpoint missing leaves {sorted(missing)}")
     try:
         # rebuilt over the filled theta (no copy) for the finiteness check
-        return ModelParams(params.theta, **dims)
+        return ModelParams(params.theta, **params.dims)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_checkpoint(
+    path,
+    *,
+    expect_dim: int | None = None,
+    expect_window_size: int | None = None,
+    expect_heads: int | None = None,
+) -> ModelParams:
+    """Read a checkpoint, optionally enforcing the run's model dims.
+
+    A file as save_checkpoint writes it (the header on line 1, then one
+    line per leaf in schema order) is read by _fast_leaves, each leaf
+    parsed into its slice of a preallocated theta by one np.fromstring
+    call. Any other file is read again by the token parser, which skips
+    blank lines and takes the leaves in any order; an unknown, duplicate,
+    missing, miscounted or non-finite leaf raises a ValueError naming the
+    file and the leaf.
+    """
+    expects = dict(dim=expect_dim, window_size=expect_window_size, heads=expect_heads)
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if first and not first.isspace():
+            params = _checkpoint_zeros(first, path, expects)
+            if _fast_leaves(fh, params):
+                return params
+    return _load_checkpoint_tokens(path, expects)

@@ -48,8 +48,8 @@ __all__ = [
 # Row budget of one stack. Small slides share a forward and backward pass,
 # which saves per-call overhead; larger ones run alone, because a pass's
 # intermediates grow with its rows: one gradient pass over two stacked
-# 2048-row, d=256 slides (S=4, two heads) raised peak memory by about
-# 310 MB, against 187 MB for one such slide.
+# 2048-row, d=256 slides (S=4, two heads, learned table) peaks about 199 MB
+# above its starting memory (tracemalloc), against 102 MB for one such slide.
 _STACK_ROWS = 1024
 
 
@@ -131,7 +131,9 @@ def _forward_core(
     A stack concatenates its slides' rows in f and coords, sizes[j] rows for
     slide j; sizes None is one slide. alpha and log_alpha are normalized
     within each slide, and p_slide is (C,) for one slide and (n_slides, C)
-    when sizes is given. Returns every intermediate needed backward.
+    when sizes is given. Returns the intermediates the backward reads:
+    u_in = [H || phi] is built once and h, phi are views of its halves;
+    h_hat is not kept (the backward recomputes it as h / h_norm).
     """
     one_slide = sizes is None
     sizes = np.array([f.shape[0]] if one_slide else sizes, dtype=np.int64)
@@ -140,6 +142,8 @@ def _forward_core(
     cache: dict = {"f": f, "coords": coords, "lwa_gff": lwa_gff, "sizes": sizes,
                    "bounds": bounds}
     d = params.dim
+    u_in = np.empty((f.shape[0], 2 * d))
+    h, phi = u_in[:, :d], u_in[:, d:]
     if lwa_gff:
         s_win = params.window_size
         layout = partition_coords(_stacked_grid(coords, sizes, s_win), s_win)
@@ -153,25 +157,23 @@ def _forward_core(
                           zip(heads_h, params.gates.w_g, params.gates.b_g)])
         gamma = expit(a_pre)  # (L, M)
         g_sum = np.einsum("lm,lmd->md", gamma, np.stack(heads_h))
-        h_fused = g_sum @ params.fusion.W_f.T + params.fusion.b_f
+        h[...] = g_sum @ params.fusion.W_f.T + params.fusion.b_f
         cache.update(layout=layout, heads_h=heads_h, attn=attn, gamma=gamma, g_sum=g_sum)
     else:
-        h_fused = f
-    h_norm = np.linalg.norm(h_fused, axis=1)
+        h[...] = f
+    h_norm = np.linalg.norm(h, axis=1)
     if np.any(h_norm == 0.0):
         raise ValueError("zero-norm fused feature; cannot take cosine scores")
-    h_hat = h_fused / h_norm[:, None]
-    s = h_hat @ t_mat.T
+    s = (h / h_norm[:, None]) @ t_mat.T
     tau = params.temp.tau
     z_cls = s / tau
     logp = _log_softmax_rows(z_cls)
     p = np.exp(logp)
 
     if params.agg.positional_mode == "sinusoidal":
-        phi = sinusoidal_embeddings(coords, d)
+        phi[...] = sinusoidal_embeddings(coords, d)
     else:
-        phi = table_embeddings(coords, params.agg)
-    u_in = np.concatenate([h_fused, phi], axis=1)
+        phi[...] = table_embeddings(coords, params.agg)
     u = u_in @ params.agg.w
     alpha = np.empty_like(u)
     log_alpha = np.empty_like(u)
@@ -185,7 +187,7 @@ def _forward_core(
         p_slide[j] = alpha[a:b] @ p[a:b]
 
     cache.update(
-        h=h_fused, h_norm=h_norm, h_hat=h_hat, s=s, tau=tau, z_cls=z_cls,
+        h=h, h_norm=h_norm, s=s, tau=tau, z_cls=z_cls,
         logp=logp, p=p, phi=phi, u_in=u_in, alpha=alpha, log_alpha=log_alpha,
         p_slide=p_slide[0] if one_slide else p_slide,
     )
@@ -220,7 +222,10 @@ def _backward_core(
     t_mat: np.ndarray, grads: ModelParams,
 ) -> None:
     """Accumulate the (unscaled) gradient contribution of a stack's slides
-    into grads; r is the responsibility vector from _stack_objective."""
+    into grads; r is the responsibility vector from _stack_objective.
+
+    The cache is consumed: each large buffer leaves it at its last use, so
+    the pass holds only what the backward still reads."""
     p = cache["p"]
     d = params.dim
     sizes = cache["sizes"]
@@ -235,15 +240,17 @@ def _backward_core(
     grads.temp.log_tau += -(dz * cache["z_cls"]).sum()
     ds = dz / cache["tau"]
 
-    # cosine scores s = h_hat . T_c
-    h_hat = cache["h_hat"]
+    # cosine scores s = h_hat . T_c, h_hat recomputed as the forward took it
+    h_hat = cache["h"] / cache["h_norm"][:, None]
     d_hhat = ds @ t_mat
     dh = (d_hhat - (d_hhat * h_hat).sum(axis=1, keepdims=True) * h_hat) / cache[
         "h_norm"
     ][:, None]
+    del h_hat, d_hhat
 
     # aggregation logits u = [H || phi] . w
     grads.agg.w += cache["u_in"].T @ du
+    del cache["u_in"], cache["h"], cache["phi"]
     dh += du[:, None] * params.agg.w[None, :d]
     if params.agg.positional_mode == "learned_table":
         coords = cache["coords"]
@@ -254,23 +261,25 @@ def _backward_core(
         return
 
     # fusion H = W_f G + b_f
-    g_sum = cache["g_sum"]
-    grads.fusion.W_f += dh.T @ g_sum
+    grads.fusion.W_f += dh.T @ cache.pop("g_sum")
     grads.fusion.b_f += dh.sum(axis=0)
     dg = dh @ params.fusion.W_f
+    del dh
 
     gamma = cache["gamma"]
-    for l, (head, g_head, h_l, head_cache) in enumerate(
-        zip(params.lwa.heads, grads.lwa.heads, cache["heads_h"], cache["attn"])
-    ):
+    heads_h, attn = cache.pop("heads_h"), cache.pop("attn")
+    for l, (head, g_head) in enumerate(zip(params.lwa.heads, grads.lwa.heads)):
+        h_l, heads_h[l] = heads_h[l], None
         d_gamma = (dg * h_l).sum(axis=1)
         da = gamma[l] * (1.0 - gamma[l]) * d_gamma
         grads.gates.w_g[l] += h_l.T @ da
         grads.gates.b_g[l] += da.sum()
         dh_l = gamma[l][:, None] * dg + da[:, None] * params.gates.w_g[l][None, :]
+        del h_l
         d_wq, d_wk, d_wv, d_bias = window_attention_backward(
-            cache["f"], cache["layout"], head, head_cache, dh_l
+            cache["f"], cache["layout"], head, attn[l], dh_l
         )
+        attn[l] = None  # this head's padded q, k, v freed before the next
         g_head.W_Q += d_wq
         g_head.W_K += d_wk
         g_head.W_V += d_wv
@@ -352,6 +361,7 @@ def total_loss(
     for stack in _stacks(slides):
         cache = _forward_stack(stack, params, t_mat, lwa_gff)
         total += _stack_objective(cache, [s.label for s in stack], lam)[0]
+        del cache  # freed before the next stack's forward
     return total / len(slides)
 
 
@@ -377,6 +387,7 @@ def grad_total_loss(
         loss, r = _stack_objective(cache, labels, lam)
         total += loss
         _backward_core(cache, labels, lam, r, params, t_mat, grads)
+        del cache, r  # freed before the next stack's forward
     grads.theta *= 1.0 / len(slides)
     return total / len(slides), grads
 
@@ -450,13 +461,29 @@ def adamw_step(
         raise ValueError("gradient/state shapes do not match params")
     b1, b2 = cfg.betas
     t = state["step"] + 1
-    m = b1 * state["m"] + (1.0 - b1) * g
-    v = b2 * state["v"] + (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    decay = cfg.learning_rate * cfg.weight_decay * theta * params.decay_mask()
-    return ModelParams(theta - update - decay, **params.dims), {"step": t, "m": m, "v": v}
+    lr = cfg.learning_rate
+    # theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta * mask, with
+    # m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t), one operation at a
+    # time in the order that expression takes them (so the bytes are the
+    # same), written into the new m, v and theta and one scratch vector
+    scratch = np.multiply(g, 1.0 - b1)
+    m = np.multiply(state["m"], b1)
+    m += scratch
+    np.multiply(g, 1.0 - b2, out=scratch)
+    scratch *= g
+    v = np.multiply(state["v"], b2)
+    v += scratch
+    new = np.divide(v, 1.0 - b2**t)
+    np.sqrt(new, out=new)
+    new += cfg.epsilon
+    np.divide(m, 1.0 - b1**t, out=scratch)
+    scratch *= lr
+    scratch /= new
+    np.subtract(theta, scratch, out=scratch)
+    np.multiply(theta, lr * cfg.weight_decay, out=new)
+    new *= params.decay_mask()
+    np.subtract(scratch, new, out=new)
+    return ModelParams(new, **params.dims), {"step": t, "m": m, "v": v}
 
 
 def train(
@@ -511,10 +538,11 @@ def train(
         # The recorded loss is its own total_loss pass, so a step runs two
         # forwards per stack of slides. perfbench's traced counts
         # (training.total_loss.calls, forward_passes_per_step) are pinned
-        # to that loop; dropping the pass waits for ROADMAP item 6.
+        # to that loop; dropping the pass waits for ROADMAP item 1.
         losses.append(total_loss(batch, params, pset, cfg.lambda_slide, lwa_gff=lwa_gff))
         _, grads = grad_total_loss(batch, params, pset, cfg.lambda_slide, lwa_gff=lwa_gff)
         params, state = adamw_step(params, grads, state, cfg)
+        del grads  # not held through the next step's passes
     return params, losses
 
 

@@ -2,6 +2,7 @@
 
 import operator
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL
 
-from fgpan.params import AttentionHeadParams, _schema, init_params, load_checkpoint, save_checkpoint
+import fgpan.params
+from fgpan.data import _parse_decimals
+from fgpan.params import (
+    AttentionHeadParams,
+    _fast_decimals,
+    _schema,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 # every leaf of a learned_table model, the largest schema
 TABLE_LEAVES = [
@@ -330,6 +340,65 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop agg.w
         with pytest.raises(ValueError, match="missing leaves"):
+            load_checkpoint(path)
+
+
+class TestCheckpointFastPath:
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.sampled_from(ADVERSARIAL),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=40))
+    def test_reads_a_leaf_as_the_token_parser_does(self, values):
+        """A leaf line as save_checkpoint writes it reads through the fast
+        path, bit for bit as _parse_decimals reads its tokens."""
+        text = " ".join(map(repr, values)) + "\n"
+        got = _fast_decimals(text)
+        assert got is not None
+        want = _parse_decimals(text.split(), "leaf")
+        assert got.tobytes() == want.tobytes() == np.array(values).tobytes()
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789.eE+-_ \t\n\r\x0b\x0c\x1c\x00naifxNIF()", max_size=16))
+    def test_accepts_only_what_the_token_parser_reads_alike(self, text):
+        """Whatever text the fast path accepts, the token parser reads to
+        the same bits; everything else is left to the token parser."""
+        got = _fast_decimals(text)
+        if got is not None:
+            assert got.tobytes() == _parse_decimals(text.split(), "leaf").tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n", "1 2 x\n", "1-2\n", "nan(1)\n",
+                                      "inf\n", "1e400\n", "0x1p3\n", "1_0\n"])
+    def test_refuses_what_it_might_misread(self, text):
+        """Blank text (which np.fromstring reads as [-1.0]), text it cannot
+        read to its end and non-finite values all go to the token parser."""
+        assert _fast_decimals(text) is None
+
+    def test_written_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        p = init_params(8, 3, 2, seed=5, pos_mode="learned_table", grid_rows=4, grid_cols=5)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+
+        def refuse(*args):
+            raise AssertionError("token parser called")
+
+        monkeypatch.setattr(fgpan.params, "_load_checkpoint_tokens", refuse)
+        assert load_checkpoint(path).flatten().tobytes() == p.flatten().tobytes()
+
+    @pytest.mark.parametrize("token", ["nan(1)", "-nan(0x7)", "inf(2)"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_token_only_strtod_reads_is_refused(self, tmp_path, token, where):
+        """np.fromstring takes nan(1); float() does not, and neither does
+        load_checkpoint: the error names the file, the leaf and the token."""
+        p = init_params(4, 2, 1, seed=0, pos_mode="learned_table", grid_rows=2, grid_cols=3)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[-1].split(" ")
+        assert tokens[0] == "agg.table"
+        tokens[1 if where == "first" else -1] = token
+        path.write_text("\n".join(lines[:-1] + [" ".join(tokens)]) + "\n")
+        want = f"ckpt.txt: leaf 'agg.table': could not convert string to float: '{token}'"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_checkpoint(path)
 
 

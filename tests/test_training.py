@@ -1,7 +1,9 @@
 """Forward pass, exact gradients vs. finite differences, AdamW, and the
 training loop."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +345,42 @@ class TestStacks:
             assert np.abs(got - mean).max() <= 1e-12 * scale, name
 
 
+def _traced_peak(fn) -> int:
+    """Bytes fn allocates at its peak, over what was allocated before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("pass_fn", [total_loss, grad_total_loss],
+                             ids=["total_loss", "grad_total_loss"])
+    def test_two_stacks_peak_as_one(self, pass_fn):
+        """A batch that runs as two stacks holds one stack's intermediates
+        at a time: its peak is within 1.25x the larger one-slide peak, not
+        the 2x of a cache kept through the next stack's forward."""
+        rng = np.random.default_rng(3)
+        d, grid = 64, 32
+        slides = []
+        for j in range(2):
+            cells = np.sort(rng.choice(grid * grid, size=600, replace=False))
+            slides.append(SlideRecord(f"s{j}", j, np.stack(np.divmod(cells, grid), axis=1),
+                                      rng.standard_normal((600, d)), grid, grid))
+        raw = rng.standard_normal((2, d))
+        pset = make_pset(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        params = init_params(d, 2, 2, seed=0, pos_mode="learned_table",
+                             grid_rows=grid, grid_cols=grid)
+        assert len(_stacks(slides)) == 2
+        single = max(_traced_peak(lambda: pass_fn([s], params, pset, 1.0)) for s in slides)
+        both = _traced_peak(lambda: pass_fn(slides, params, pset, 1.0))
+        assert both <= 1.25 * single, (both, single)
+
+
 class TestAdamW:
     def test_zero_learning_rate_is_identity(self):
         slides, pset, params = random_instance(6)
@@ -393,6 +431,59 @@ class TestAdamW:
         for now, then in zip([params.flatten(), grads.flatten(), state["m"], state["v"]],
                              before):
             np.testing.assert_array_equal(now, then)
+
+
+def _adamw_as_one_expression(params, grads, state, cfg):
+    """The AdamW update written as one expression per quantity, the form
+    adamw_step had before it wrote into preallocated vectors; the reference
+    its bytes are held to."""
+    g, theta = grads.theta, params.theta
+    if state is None:
+        state = {"step": 0, "m": np.zeros_like(theta), "v": np.zeros_like(theta)}
+    b1, b2 = cfg.betas
+    t = state["step"] + 1
+    m = b1 * state["m"] + (1.0 - b1) * g
+    v = b2 * state["v"] + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    decay = cfg.learning_rate * cfg.weight_decay * theta * params.decay_mask()
+    return theta - update - decay, m, v
+
+
+class TestAdamWBytes:
+    @pytest.mark.parametrize("t", [1, 2, 1000])
+    @pytest.mark.parametrize("lr, wd", [(1e-3, 1e-4), (0.0, 0.1), (0.05, 0.0)],
+                             ids=["desk", "lr=0", "wd=0"])
+    def test_equals_former_expression_bitwise(self, t, lr, wd):
+        """theta, m and v equal the one-expression update byte for byte, over
+        decayed and exempt leaves alike, with signed zeros, zero gradients,
+        gradients whose square overflows and moments carried from a step."""
+        slides, pset, params = random_instance(
+            12, pos_mode="learned_table", randomize_params=True
+        )
+        _, grads = grad_total_loss(slides, params, pset, 1.0)
+        n = params.n_scalars
+        rng = np.random.default_rng(t)
+        theta, g = params.flatten(), grads.flatten()
+        edge = rng.choice(n, size=n // 4, replace=False)
+        theta[edge[:8]] = -0.0
+        g[edge[:8]] = 0.0
+        g[edge[8:16]] = [1e200, -1e200, 1e-300, -1e-300, 5e-324, -5e-324, 0.0, -0.0]
+        params, grads = params.with_flat(theta), grads.with_flat(g)
+        state = None
+        if t > 1:
+            state = {"step": t - 1, "m": 0.1 * rng.standard_normal(n),
+                     "v": 0.01 * rng.random(n)}
+            state["v"][edge[16:24]] = 0.0
+        cfg = TrainConfig(learning_rate=lr, weight_decay=wd)
+        with np.errstate(over="ignore"):  # (1 - b2) * g * g of g = 1e200
+            new, new_state = adamw_step(params, grads, state, cfg)
+            want_theta, want_m, want_v = _adamw_as_one_expression(params, grads, state, cfg)
+        assert new_state["step"] == t
+        assert new.theta.tobytes() == want_theta.tobytes()
+        assert new_state["m"].tobytes() == want_m.tobytes()
+        assert new_state["v"].tobytes() == want_v.tobytes()
 
 
 class TestTrain:
