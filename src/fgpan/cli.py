@@ -294,10 +294,10 @@ def _cmd_train(cfg: RunConfig) -> int:
         lwa_gff=cfg.lwa_gff == "on",
     )
     save_checkpoint(params, cfg.checkpoint)
-    print(
-        f"steps: {len(losses)} first-loss: {float(losses[0])!r} "
-        f"final-loss: {float(losses[-1])!r}"
-    )
+    steps = f"steps: {len(losses)}"
+    if losses:  # --iterations 0 writes the initial parameters and no loss
+        steps += f" first-loss: {float(losses[0])!r} final-loss: {float(losses[-1])!r}"
+    print(steps)
     print(f"wrote checkpoint to {cfg.checkpoint}")
     return 0
 

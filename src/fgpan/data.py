@@ -14,7 +14,9 @@ Prototype file format: one JSON object per line,
     non-empty list of finite numbers)
 
 Floats are written with the shortest round-trip decimal representation so
-identical records serialize to identical bytes. A slide body is read back in
+identical records serialize to identical bytes; a large slide's text is
+formatted on every CPU the process may use (fgpan.rowtext), to the same
+bytes. A slide body is read back in
 one np.loadtxt call; the token parser _parse_decimals, which checkpoint
 files share, reads any body np.loadtxt does not take and names its fault.
 """
@@ -29,6 +31,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from .rowtext import row_texts
+
 __all__ = [
     "SlideRecord",
     "ClassPrototype",
@@ -41,12 +45,6 @@ __all__ = [
     "gen_synthetic",
     "coarse_prototypes",
 ]
-
-
-def _fmt_row(values: np.ndarray) -> str:
-    """Space-separated canonical decimals of a float64 vector (shortest
-    exact round-trip form of each value)."""
-    return " ".join(map(repr, values.tolist()))
 
 
 def _parse_decimals(tokens: list, where: str, dtype=np.float64) -> np.ndarray:
@@ -311,9 +309,11 @@ def save_slide(record: SlideRecord, path) -> None:
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header) + "\n")
-        # one row per write: the slide's text never sits in memory whole
-        for (r, c), row in zip(coords.tolist(), features):
-            fh.write(f"{r} {c} {_fmt_row(row)}\n")
+        # one row per write: the slide's text never sits in memory whole (a
+        # large slide's worker rows arrive in pieces of about 64k values)
+        texts = row_texts(features.reshape(-1), [record.dim] * record.n_patches)
+        for (r, c), text in zip(coords.tolist(), texts):
+            fh.write(f"{r} {c} {text}\n")
 
 
 _PARSE_ROWS = 256  # slide rows parsed per call: bounds the token strings alive at once

@@ -29,6 +29,8 @@ class EvalRecord:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1:
             raise ValueError("probs must be a vector")
+        if not np.isfinite(self.probs).all():
+            raise ValueError(f"probs must be finite, got {self.probs.tolist()}")
         if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError("probs must be a probability distribution")
         c = self.probs.shape[0]

@@ -21,10 +21,12 @@ import functools
 import json
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 
-from .data import _fmt_row, _header_fields, _json_object, _parse_decimals
+from .data import _header_fields, _json_object, _parse_decimals
+from .rowtext import row_texts
 
 __all__ = [
     "ModelParams",
@@ -369,13 +371,18 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "grid_rows": params.agg.grid_rows,
         "grid_cols": params.agg.grid_cols,
     }
+    leaves = params.leaves()
+    rows = [arr.size // arr.shape[-1] for _, arr in leaves]  # rows per leaf
+    widths = [arr.shape[-1] for (_, arr), n in zip(leaves, rows) for _ in range(n)]
+    texts = row_texts(params.theta, widths)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header) + "\n")
-        for name, arr in params.leaves():
-            # one row at a time: a leaf's text never sits in memory whole
+        for (name, _), n in zip(leaves, rows):
+            # one row at a time: a leaf's text never sits in memory whole (a
+            # large checkpoint's worker rows arrive in pieces of about 64k values)
             fh.write(name)
-            for row in arr.reshape(-1, arr.shape[-1]):
-                fh.write(" " + _fmt_row(row))
+            for text in islice(texts, n):
+                fh.write(" " + text)
             fh.write("\n")
 
 

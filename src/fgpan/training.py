@@ -125,6 +125,7 @@ def _forward_core(
     t_mat: np.ndarray,
     lwa_gff: bool,
     sizes: list[int] | None = None,
+    for_backward: bool = True,
 ):
     """The forward pass of one slide, or of a stack of slides.
 
@@ -133,7 +134,10 @@ def _forward_core(
     within each slide, and p_slide is (C,) for one slide and (n_slides, C)
     when sizes is given. Returns the intermediates the backward reads:
     u_in = [H || phi] is built once and h, phi are views of its halves;
-    h_hat is not kept (the backward recomputes it as h / h_norm).
+    h_hat is not kept (the backward recomputes it as h / h_norm). A pass
+    with no backward after it (for_backward False) keeps no head's padded
+    q, k, v and attention weights: each head's are freed once its output
+    is formed, and cache["attn"] is empty.
     """
     one_slide = sizes is None
     sizes = np.array([f.shape[0]] if one_slide else sizes, dtype=np.int64)
@@ -152,7 +156,9 @@ def _forward_core(
         for head in params.lwa.heads:
             h_out, head_cache = window_attention(f, layout, head)
             heads_h.append(h_out)
-            attn.append(head_cache)
+            if for_backward:
+                attn.append(head_cache)
+            del head_cache
         a_pre = np.stack([h @ w + b for h, w, b in
                           zip(heads_h, params.gates.w_g, params.gates.b_g)])
         gamma = expit(a_pre)  # (L, M)
@@ -302,7 +308,8 @@ def forward_slide(
     t_mat = _checked_proto_matrix(pset, slide.dim)
     if slide.dim != params.dim:
         raise ValueError(f"slide dim {slide.dim} does not match params dim {params.dim}")
-    cache = _forward_core(slide.matrix(), slide.coords(), params, t_mat, lwa_gff)
+    cache = _forward_core(slide.matrix(), slide.coords(), params, t_mat, lwa_gff,
+                          for_backward=False)
     p_slide = cache["p_slide"]
     return cache["p"], SlidePrediction(cache["alpha"], p_slide, int(np.argmax(p_slide)))
 
@@ -332,7 +339,8 @@ def _stacks(slides: list[SlideRecord]) -> list[list[SlideRecord]]:
 
 
 def _forward_stack(
-    stack: list[SlideRecord], params: ModelParams, t_mat: np.ndarray, lwa_gff: bool
+    stack: list[SlideRecord], params: ModelParams, t_mat: np.ndarray, lwa_gff: bool,
+    for_backward: bool,
 ) -> dict:
     """_forward_core over a stack's concatenated rows; a slide alone is not
     copied."""
@@ -341,7 +349,8 @@ def _forward_stack(
     else:
         f = np.concatenate([s.matrix() for s in stack])
         coords = np.concatenate([s.coords() for s in stack])
-    return _forward_core(f, coords, params, t_mat, lwa_gff, [s.n_patches for s in stack])
+    return _forward_core(f, coords, params, t_mat, lwa_gff, [s.n_patches for s in stack],
+                         for_backward)
 
 
 def total_loss(
@@ -359,7 +368,7 @@ def total_loss(
     t_mat = _checked_proto_matrix(pset, slides[0].dim)
     total = 0.0
     for stack in _stacks(slides):
-        cache = _forward_stack(stack, params, t_mat, lwa_gff)
+        cache = _forward_stack(stack, params, t_mat, lwa_gff, for_backward=False)
         total += _stack_objective(cache, [s.label for s in stack], lam)[0]
         del cache  # freed before the next stack's forward
     return total / len(slides)
@@ -383,7 +392,7 @@ def grad_total_loss(
     total = 0.0
     for stack in _stacks(slides):
         labels = [s.label for s in stack]
-        cache = _forward_stack(stack, params, t_mat, lwa_gff)
+        cache = _forward_stack(stack, params, t_mat, lwa_gff, for_backward=True)
         loss, r = _stack_objective(cache, labels, lam)
         total += loss
         _backward_core(cache, labels, lam, r, params, t_mat, grads)

@@ -10,6 +10,7 @@ import pytest
 
 from fgpan.cli import dispatch, parse_config
 from fgpan.data import load_prototypes, load_slide
+from fgpan.params import init_params, load_checkpoint
 
 
 def run(argv, capsys):
@@ -156,6 +157,20 @@ class TestPipeline:
         rec = json.loads(line)
         assert list(rec) == ["bacc", "f1_macro", "f1_weighted", "auroc"]
 
+    def test_train_zero_iterations_writes_initial_params(self, corpus, tmp_path, capsys):
+        ckpt = tmp_path / "init.ckpt"
+        code, stdout, err = run(
+            ["train", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--dim", "8", "--iterations", "0", "--seed", "6"],
+            capsys,
+        )
+        assert code == 0, err
+        assert stdout.splitlines()[-2] == "steps: 0"
+        slides = [load_slide(p) for p in sorted(corpus.glob("*.slide"))]
+        init = init_params(8, 2, 2, grid_rows=max(s.grid_rows for s in slides),
+                           grid_cols=max(s.grid_cols for s in slides), seed=6)
+        assert load_checkpoint(ckpt).flatten().tobytes() == init.flatten().tobytes()
+
     def test_train_infer_determinism(self, corpus, tmp_path, capsys):
         blobs = []
         for tag in ("x", "y"):
@@ -266,6 +281,24 @@ class TestPipeline:
         assert code == 1
         assert (f"slide {last_id!r}: bad prediction: predicted must be an integer, "
                 f"got {value!r}") in err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_eval_rejects_non_finite_probability(self, token, tmp_path, capsys):
+        """json.loads reads NaN and +-Infinity; a NaN P used to pass the sum
+        check and print "auroc": nan."""
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "nan.jsonl"
+        self.write_predictions(data, preds)
+        lines = preds.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        lines[-1] = lines[-1].replace(json.dumps(rec["P"]), f"[{token}, 1.0]")
+        preds.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run(["eval", "--data", str(data), "--predictions", str(preds)],
+                                capsys)
+        assert code == 1
+        assert f"slide {rec['slide_id']!r}: bad prediction: probs must be finite" in err
+        assert "auroc" not in stdout
 
     def test_eval_rejects_line_that_is_not_an_object(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -153,3 +153,8 @@ class TestEvalRecord:
             EvalRecord("s", 0, 0, np.array([0.7, 0.7]))
         with pytest.raises(ValueError, match="labels"):
             EvalRecord("s", 5, 0, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="probs must be finite"):
+            EvalRecord("s", 0, 0, np.array([bad, 1.0]))
