@@ -30,10 +30,11 @@ class SlidePrediction:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         self.P = np.asarray(self.P, dtype=np.float64)
-        if np.any(self.alpha < 0) or abs(self.alpha.sum() - 1.0) > 1e-9:
-            raise ValueError("alpha must be a probability vector")
-        if abs(self.P.sum() - 1.0) > 1e-9:
-            raise ValueError("P must sum to 1")
+        if (not np.isfinite(self.alpha).all() or np.any(self.alpha < 0)
+                or abs(self.alpha.sum() - 1.0) > 1e-9):
+            raise ValueError("alpha must be a finite probability vector")
+        if not np.isfinite(self.P).all() or abs(self.P.sum() - 1.0) > 1e-9:
+            raise ValueError("P must be finite and sum to 1")
 
 
 def sinusoidal_embeddings(coords: np.ndarray, d: int) -> np.ndarray:

@@ -4,15 +4,22 @@ Flag precedence: command-line flags override config-file values, which
 override built-in defaults. Every run echoes its resolved config, seed, and
 a config digest for provenance. The seed falls back to the FGPAN_SEED
 environment variable when --seed is absent.
+
+RunConfig and the command table _COMMANDS declare the whole surface. Each
+field but `command` is a flag --name-with-dashes, typed by its annotation
+and limited to the values _CHOICES gives it, and a config-file key under
+the same checks.
 """
 
 import argparse
 import glob
 import hashlib
+import inspect
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -42,14 +49,25 @@ from .training import (
 
 __all__ = ["RunConfig", "parse_config", "dispatch", "main"]
 
-COMMANDS = ("gen", "train", "infer", "eval", "gradcheck", "proto-dist")
 
-SELECT_CHOICES = ("all", "fps", "topk")
-_SELECT_KINDS = {"all": "all", "fps": "fps_embedding", "topk": "topk_norm"}
-POS_CHOICES = ("sin", "table")
-_POS_MODES = {"sin": "sinusoidal", "table": "learned_table"}
+def _default(func, name: str):
+    return inspect.signature(func).parameters[name].default
 
-PROFILES = {"desk": desk_profile, "paper": paper_profile}
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+_ON_OFF = {"on": True, "off": False}
+# the values each choice field takes on the command line, mapped to what the
+# library takes for them
+_CHOICES = {
+    "select": {"all": "all", "fps": "fps_embedding", "topk": "topk_norm"},
+    "pos_mode": {"sin": "sinusoidal", "table": "learned_table"},
+    "lwa_gff": _ON_OFF,
+    "fine_grained_prototypes": _ON_OFF,
+    "profile": {"desk": desk_profile, "paper": paper_profile},
+}
 
 
 @dataclass
@@ -57,6 +75,7 @@ class RunConfig:
     """Resolved settings for one CLI run."""
 
     command: str | None = None
+    seed: int = 0  # first field, so --seed leads every command's help
     # paths
     data: str | None = None
     prototypes: str | None = None
@@ -65,13 +84,13 @@ class RunConfig:
     predictions: str | None = None
     # model dims
     dim: int = 16
-    window_size: int = 2
-    heads: int = 2
+    window_size: int = _default(train, "window_size")
+    heads: int = _default(train, "heads")
     # strategy flags
     select: str = "all"
     m_max: int | None = None
     pos_mode: str = "sin"
-    lambda_slide: float = 1.0
+    lambda_slide: float = TrainConfig.lambda_slide
     lwa_gff: str = "on"
     fine_grained_prototypes: str = "on"
     # training profile and overrides
@@ -84,14 +103,13 @@ class RunConfig:
     classes: int = 4
     slides_per_class: int = 10
     patches_per_slide: int = 64
-    signal_fraction: float = 0.6
-    noise_sigma: float = 0.05
-    grid_rows: int = 8
-    grid_cols: int = 8
+    signal_fraction: float = SyntheticConfig.signal_fraction
+    noise_sigma: float = SyntheticConfig.noise_sigma
+    grid_rows: int = SyntheticConfig.grid_rows
+    grid_cols: int = SyntheticConfig.grid_cols
     # gradient check
     tolerance: float = 1e-5
-    fd_step: float = 1e-4
-    seed: int = 0
+    fd_step: float = _default(finite_diff_check, "step")
 
     def train_config(self) -> TrainConfig:
         overrides = {
@@ -99,131 +117,99 @@ class RunConfig:
             for key in ("learning_rate", "weight_decay", "batch_size", "iterations")
             if getattr(self, key) is not None
         }
-        return PROFILES[self.profile](
-            lambda_slide=self.lambda_slide, seed=self.seed, **overrides
-        )
+        return self.choice("profile")(lambda_slide=self.lambda_slide, seed=self.seed, **overrides)
 
-    def internal_pos_mode(self) -> str:
-        return _POS_MODES[self.pos_mode]
+    def choice(self, name: str):
+        """What the library takes for the value of choice field `name`."""
+        return _CHOICES[name][getattr(self, name)]
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+# each field's types: (int,) for `int`, (int, NoneType) for `int | None`
+_TYPES = {f.name: get_args(f.type) or (f.type,) for f in fields(RunConfig) if f.name != "command"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _bad_value(where: str, name: str, value) -> ValueError:
+    expected = " or ".join(_TYPE_NAMES[t] for t in _TYPES[name])
+    return ValueError(f"{where}: {name} must be {expected}, got {value!r}")
+
+
+def _read_config(path: str) -> dict:
+    """A config file's values, each checked against its field: a bool is
+    never a number, an int stands for a float, null only for `... | None`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    where = f"config file {path}"
+    values = _json_object(text, where, "config")
+    for name, value in values.items():
+        if name == "command":
+            raise ValueError("the command cannot be set from a config file")
+        if name not in _TYPES:
+            raise ValueError(f"unknown config file key {name!r}")
+        types = _TYPES[name] + ((int,) if float in _TYPES[name] else ())
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise _bad_value(where, name, value)
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise ValueError(
+                f"{where}: {name} must be one of {', '.join(_CHOICES[name])}, got {value!r}"
+            )
+    return values
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per field: each command's own options (_COMMANDS), and every
+    field no command lists, on all of them."""
+
+    def add_flags(group, names):
+        for name in names:
+            group.add_argument(_flag(name), type=_TYPES[name][0],
+                               choices=_CHOICES.get(name))
+
+    listed = {name for _, _, options in _COMMANDS.values() for name in options}
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("common")
-    g.add_argument("--config", type=str, default=None, help="JSON config file")
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--dim", type=int, default=None)
-    g.add_argument("--window-size", type=int, default=None, dest="window_size")
-    g.add_argument("--heads", type=int, default=None)
-    g.add_argument("--select", choices=SELECT_CHOICES, default=None)
-    g.add_argument("--m-max", type=int, default=None, dest="m_max")
-    g.add_argument("--pos-mode", choices=POS_CHOICES, default=None, dest="pos_mode")
-    g.add_argument("--lambda-slide", type=float, default=None, dest="lambda_slide")
-    g.add_argument("--lwa-gff", choices=("on", "off"), default=None, dest="lwa_gff")
-    g.add_argument(
-        "--fine-grained-prototypes",
-        choices=("on", "off"),
-        default=None,
-        dest="fine_grained_prototypes",
-    )
-    g.add_argument("--profile", choices=tuple(PROFILES), default=None)
-    g.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    g.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    g.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    g.add_argument("--iterations", type=int, default=None)
+    group = common.add_argument_group("common")
+    group.add_argument("--config", type=str, help="JSON config file")
+    add_flags(group, [name for name in _TYPES if name not in listed])
 
     parser = argparse.ArgumentParser(
         prog="fgpan",
         description="Zero-shot whole-slide classification over patch embeddings.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a synthetic corpus")
-    p_gen.add_argument("--out", type=str, default=None)
-    p_gen.add_argument("--classes", type=int, default=None)
-    p_gen.add_argument("--slides-per-class", type=int, default=None, dest="slides_per_class")
-    p_gen.add_argument(
-        "--patches-per-slide", type=int, default=None, dest="patches_per_slide"
-    )
-    p_gen.add_argument(
-        "--signal-fraction", type=float, default=None, dest="signal_fraction"
-    )
-    p_gen.add_argument("--noise-sigma", type=float, default=None, dest="noise_sigma")
-    p_gen.add_argument("--grid-rows", type=int, default=None, dest="grid_rows")
-    p_gen.add_argument("--grid-cols", type=int, default=None, dest="grid_cols")
-
-    p_train = sub.add_parser("train", parents=[common], help="train on labeled slides")
-    p_train.add_argument("--data", type=str, default=None)
-    p_train.add_argument("--prototypes", type=str, default=None)
-    p_train.add_argument("--checkpoint", type=str, default=None)
-
-    p_infer = sub.add_parser("infer", parents=[common], help="predict slide labels")
-    p_infer.add_argument("--data", type=str, default=None)
-    p_infer.add_argument("--prototypes", type=str, default=None)
-    p_infer.add_argument("--checkpoint", type=str, default=None)
-    p_infer.add_argument("--out", type=str, default=None)
-
-    p_eval = sub.add_parser("eval", parents=[common], help="score predictions")
-    p_eval.add_argument("--data", type=str, default=None)
-    p_eval.add_argument("--predictions", type=str, default=None)
-
-    p_grad = sub.add_parser("gradcheck", parents=[common], help="verify gradients")
-    p_grad.add_argument("--classes", type=int, default=None)
-    p_grad.add_argument(
-        "--patches-per-slide", type=int, default=None, dest="patches_per_slide"
-    )
-    p_grad.add_argument("--tolerance", type=float, default=None)
-    p_grad.add_argument("--fd-step", type=float, default=None, dest="fd_step")
-
-    p_dist = sub.add_parser(
-        "proto-dist", parents=[common], help="print the inter-class distance"
-    )
-    p_dist.add_argument("--prototypes", type=str, default=None)
-
+    for command, (_, help_line, options) in _COMMANDS.items():
+        add_flags(sub.add_parser(command, parents=[common], help=help_line), options)
     return parser
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve a RunConfig: CLI flags over config-file values over defaults."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     provided = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
 
-    merged: dict = {}
     config_path = getattr(ns, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_vals = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        for key, val in file_vals.items():
-            if key not in known:
-                raise ValueError(f"unknown config file key {key!r}")
-            if key == "command":
-                raise ValueError("the command cannot be set from a config file")
-            merged[key] = val
+    merged = _read_config(config_path) if config_path else {}
     merged.update(provided)
 
-    # gradcheck defaults to the small random instance
+    # gradcheck defaults to random_instance's small instance
     if ns.command == "gradcheck":
-        for key, val in (("dim", 8), ("classes", 3), ("patches_per_slide", 6)):
-            merged.setdefault(key, val)
+        for key, param in (("dim", "dim"), ("classes", "classes"), ("patches_per_slide", "patches")):
+            merged.setdefault(key, _default(random_instance, param))
 
-    if "seed" not in merged:
-        env_seed = os.environ.get("FGPAN_SEED")
-        if env_seed is not None:
+    env_seed = os.environ.get("FGPAN_SEED")
+    if "seed" not in merged and env_seed is not None:
+        try:
             merged["seed"] = int(env_seed)
+        except ValueError:
+            raise _bad_value("FGPAN_SEED", "seed", env_seed) from None
 
     cfg = RunConfig(**merged)
-    if cfg.select not in SELECT_CHOICES:
-        raise ValueError(f"--select must be one of {SELECT_CHOICES}")
-    if cfg.pos_mode not in POS_CHOICES:
-        raise ValueError(f"--pos-mode must be one of {POS_CHOICES}")
-    if cfg.profile not in PROFILES:
-        raise ValueError(f"--profile must be one of {tuple(PROFILES)}")
     if cfg.dim < 1 or cfg.window_size < 1 or cfg.heads < 1:
         raise ValueError("model dims must be positive")
     return cfg
@@ -237,7 +223,7 @@ def _echo(cfg: RunConfig) -> None:
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            raise ValueError(f"command {cfg.command!r} requires --{name.replace('_', '-')}")
+            raise ValueError(f"command {cfg.command!r} requires {_flag(name)}")
 
 
 def _load_slides(data_dir: str):
@@ -251,25 +237,16 @@ def _apply_selection(cfg: RunConfig, slides):
     if cfg.select == "all" and cfg.m_max is None:
         return slides
     m_max = cfg.m_max if cfg.m_max is not None else max(s.n_patches for s in slides)
-    strategy = SelectionStrategy(_SELECT_KINDS[cfg.select], m_max)
+    strategy = SelectionStrategy(cfg.choice("select"), m_max)
     return [select_patches(s, strategy) for s in slides]
 
 
 def _cmd_gen(cfg: RunConfig) -> int:
     _require(cfg, "out")
-    syn = SyntheticConfig(
-        classes=cfg.classes,
-        slides_per_class=cfg.slides_per_class,
-        patches_per_slide=cfg.patches_per_slide,
-        dim=cfg.dim,
-        signal_fraction=cfg.signal_fraction,
-        noise_sigma=cfg.noise_sigma,
-        grid_rows=cfg.grid_rows,
-        grid_cols=cfg.grid_cols,
-        seed=cfg.seed,
-    )
-    slides, pset = gen_synthetic(syn)
-    if cfg.fine_grained_prototypes == "off":
+    # each generator setting the CLI offers is the RunConfig field of its name
+    syn = {f.name: getattr(cfg, f.name) for f in fields(SyntheticConfig) if f.name in _TYPES}
+    slides, pset = gen_synthetic(SyntheticConfig(**syn))
+    if not cfg.choice("fine_grained_prototypes"):
         pset = coarse_prototypes(pset, cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     for s in slides:
@@ -290,8 +267,8 @@ def _cmd_train(cfg: RunConfig) -> int:
         pset,
         window_size=cfg.window_size,
         heads=cfg.heads,
-        pos_mode=cfg.internal_pos_mode(),
-        lwa_gff=cfg.lwa_gff == "on",
+        pos_mode=cfg.choice("pos_mode"),
+        lwa_gff=cfg.choice("lwa_gff"),
     )
     save_checkpoint(params, cfg.checkpoint)
     steps = f"steps: {len(losses)}"
@@ -321,7 +298,7 @@ def _infer_params(cfg: RunConfig, slides):
         grid_rows=grid_rows,
         grid_cols=grid_cols,
         seed=cfg.seed,
-        pos_mode=cfg.internal_pos_mode(),
+        pos_mode=cfg.choice("pos_mode"),
     )
 
 
@@ -332,7 +309,10 @@ def _cmd_infer(cfg: RunConfig) -> int:
     params = _infer_params(cfg, slides)
     lines = []
     for s in sorted(slides, key=lambda x: x.slide_id):
-        _, pred = forward_slide(s, params, pset, lwa_gff=cfg.lwa_gff == "on")
+        try:
+            _, pred = forward_slide(s, params, pset, lwa_gff=cfg.choice("lwa_gff"))
+        except ValueError as exc:
+            raise ValueError(f"slide {s.slide_id!r}: {exc}") from exc
         lines.append(
             json.dumps(
                 {
@@ -407,7 +387,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
         heads=cfg.heads,
         classes=cfg.classes,
         patches=cfg.patches_per_slide,
-        pos_mode=cfg.internal_pos_mode(),
+        pos_mode=cfg.choice("pos_mode"),
     )
     err = finite_diff_check(
         slides,
@@ -415,7 +395,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
         pset,
         cfg.lambda_slide,
         cfg.fd_step,
-        lwa_gff=cfg.lwa_gff == "on",
+        lwa_gff=cfg.choice("lwa_gff"),
     )
     print(f"max-rel-error: {err!r} tolerance: {cfg.tolerance!r}")
     return 0 if err <= cfg.tolerance else 1
@@ -428,24 +408,29 @@ def _cmd_proto_dist(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "infer": _cmd_infer,
-    "eval": _cmd_eval,
-    "gradcheck": _cmd_gradcheck,
-    "proto-dist": _cmd_proto_dist,
+# command: (handler, help line, the fields it takes beyond the common ones);
+# a field that no command lists is common to all of them
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate a synthetic corpus",
+            ("out", "classes", "slides_per_class", "patches_per_slide", "signal_fraction",
+             "noise_sigma", "grid_rows", "grid_cols")),
+    "train": (_cmd_train, "train on labeled slides", ("data", "prototypes", "checkpoint")),
+    "infer": (_cmd_infer, "predict slide labels", ("data", "prototypes", "checkpoint", "out")),
+    "eval": (_cmd_eval, "score predictions", ("data", "predictions")),
+    "gradcheck": (_cmd_gradcheck, "verify gradients",
+                  ("classes", "patches_per_slide", "tolerance", "fd_step")),
+    "proto-dist": (_cmd_proto_dist, "print the inter-class distance", ("prototypes",)),
 }
 
 
 def dispatch(cfg: RunConfig) -> int:
     """Route a resolved config to its command; returns the exit status."""
     if cfg.command is None:
-        print("error: no command given; expected one of " + ", ".join(COMMANDS), file=sys.stderr)
+        print("error: no command given; expected one of " + ", ".join(_COMMANDS), file=sys.stderr)
         return 2
     _echo(cfg)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error ({cfg.command}): {exc}", file=sys.stderr)
         return 1

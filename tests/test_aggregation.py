@@ -192,3 +192,11 @@ class TestSlidePrediction:
             SlidePrediction(np.array([0.5, 0.6]), np.array([1.0]), 0)
         with pytest.raises(ValueError, match="sum to 1"):
             SlidePrediction(np.array([1.0]), np.array([0.5, 0.4]), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        """abs(nan - 1) > tol is False, so the sum checks alone let NaN through."""
+        with pytest.raises(ValueError, match="alpha must be a finite"):
+            SlidePrediction(np.array([bad, 0.5]), np.array([1.0]), 0)
+        with pytest.raises(ValueError, match="P must be finite"):
+            SlidePrediction(np.array([1.0]), np.array([bad, 0.5]), 0)

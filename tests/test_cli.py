@@ -8,9 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from fgpan.cli import dispatch, parse_config
+from fgpan.cli import RunConfig, _build_parser, dispatch, main, parse_config
 from fgpan.data import load_prototypes, load_slide
-from fgpan.params import init_params, load_checkpoint
+from fgpan.params import init_params, load_checkpoint, save_checkpoint
 
 
 def run(argv, capsys):
@@ -81,6 +81,170 @@ class TestParseConfig:
                     ["infer", "--lwa-gff", lg, "--fine-grained-prototypes", fg]
                 )
                 assert (cfg.lwa_gff, cfg.fine_grained_prototypes) == (lg, fg)
+
+
+ON_OFF = ("on", "off")
+# (flag, dest, choices, default) of every option, as the hand-written parser
+# declared them before the flags were derived from RunConfig
+COMMON_FLAGS = {
+    ("--config", "config", None, None),
+    ("--seed", "seed", None, None),
+    ("--dim", "dim", None, None),
+    ("--window-size", "window_size", None, None),
+    ("--heads", "heads", None, None),
+    ("--select", "select", ("all", "fps", "topk"), None),
+    ("--m-max", "m_max", None, None),
+    ("--pos-mode", "pos_mode", ("sin", "table"), None),
+    ("--lambda-slide", "lambda_slide", None, None),
+    ("--lwa-gff", "lwa_gff", ON_OFF, None),
+    ("--fine-grained-prototypes", "fine_grained_prototypes", ON_OFF, None),
+    ("--profile", "profile", ("desk", "paper"), None),
+    ("--learning-rate", "learning_rate", None, None),
+    ("--weight-decay", "weight_decay", None, None),
+    ("--batch-size", "batch_size", None, None),
+    ("--iterations", "iterations", None, None),
+}
+COMMAND_FLAGS = {
+    "gen": {
+        ("--out", "out", None, None),
+        ("--classes", "classes", None, None),
+        ("--slides-per-class", "slides_per_class", None, None),
+        ("--patches-per-slide", "patches_per_slide", None, None),
+        ("--signal-fraction", "signal_fraction", None, None),
+        ("--noise-sigma", "noise_sigma", None, None),
+        ("--grid-rows", "grid_rows", None, None),
+        ("--grid-cols", "grid_cols", None, None),
+    },
+    "train": {
+        ("--data", "data", None, None),
+        ("--prototypes", "prototypes", None, None),
+        ("--checkpoint", "checkpoint", None, None),
+    },
+    "infer": {
+        ("--data", "data", None, None),
+        ("--prototypes", "prototypes", None, None),
+        ("--checkpoint", "checkpoint", None, None),
+        ("--out", "out", None, None),
+    },
+    "eval": {
+        ("--data", "data", None, None),
+        ("--predictions", "predictions", None, None),
+    },
+    "gradcheck": {
+        ("--classes", "classes", None, None),
+        ("--patches-per-slide", "patches_per_slide", None, None),
+        ("--tolerance", "tolerance", None, None),
+        ("--fd-step", "fd_step", None, None),
+    },
+    "proto-dist": {("--prototypes", "prototypes", None, None)},
+}
+
+
+def subparsers():
+    parser = _build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def main_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+class TestSurface:
+    def test_flags_match_the_hand_written_parser(self):
+        commands = subparsers()
+        assert list(commands) == list(COMMAND_FLAGS)
+        for name, sub in commands.items():
+            flags = {
+                (a.option_strings[0], a.dest, a.choices and tuple(a.choices), a.default)
+                for a in sub._actions
+                if a.dest != "help"
+            }
+            assert flags == COMMON_FLAGS | COMMAND_FLAGS[name], name
+
+    def test_every_field_is_a_flag(self):
+        dests = {a.dest for sub in subparsers().values() for a in sub._actions}
+        assert {f for f in RunConfig.__dataclass_fields__ if f != "command"} <= dests
+
+    def test_flag_types_follow_the_annotations(self):
+        cfg = parse_config(["gradcheck", "--m-max", "3", "--tolerance", "1", "--seed", "4"])
+        assert (cfg.m_max, cfg.tolerance, cfg.seed) == (3, 1.0, 4)
+        assert type(cfg.tolerance) is float
+
+
+def write_config(tmp_path, values):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps(values))
+    return str(cfile)
+
+
+class TestConfigFileChecks:
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("lwa_gff", "yes", "one of on, off"),
+            ("fine_grained_prototypes", "of", "one of on, off"),
+            ("select", "bogus", "one of all, fps, topk"),
+            ("pos_mode", "sinus", "one of sin, table"),
+            ("profile", "big", "one of desk, paper"),
+            ("select", 1, "a string"),
+            ("dim", "16", "an integer"),
+            ("dim", None, "an integer"),
+            ("classes", 4.0, "an integer"),
+            ("seed", True, "an integer"),
+            ("iterations", 2.5, "an integer or null"),
+            ("m_max", "8", "an integer or null"),
+            ("tolerance", "1e-5", "a number"),
+            ("noise_sigma", None, "a number"),
+            ("lambda_slide", False, "a number"),
+            ("learning_rate", "0.1", "a number or null"),
+            ("data", 3, "a string or null"),
+            ("checkpoint", ["a.ckpt"], "a string or null"),
+        ],
+        ids=repr,
+    )
+    def test_wrong_type_or_choice_refused(self, key, value, expected, tmp_path, capsys):
+        path = write_config(tmp_path, {key: value})
+        with pytest.raises(ValueError, match=f"config file {re.escape(path)}: {key} must be"):
+            parse_config(["train", "--config", path])
+        code, err = main_exit(["train", "--config", path], capsys)
+        assert code == 2
+        assert err == f"error: config file {path}: {key} must be {expected}, got {value!r}\n"
+
+    def test_accepted_values(self, tmp_path):
+        path = write_config(tmp_path, {"tolerance": 0, "m_max": None, "iterations": 3,
+                                       "learning_rate": 0.5, "lwa_gff": "off", "data": "d"})
+        cfg = parse_config(["gradcheck", "--config", path])
+        assert (cfg.tolerance, cfg.m_max, cfg.iterations) == (0, None, 3)
+        assert (cfg.learning_rate, cfg.lwa_gff, cfg.data) == (0.5, "off", "d")
+
+    def test_command_key_refused(self, tmp_path):
+        path = write_config(tmp_path, {"command": "gen"})
+        with pytest.raises(ValueError, match="command cannot be set from a config file"):
+            parse_config(["train", "--config", path])
+
+    def test_missing_file_named(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        code, err = main_exit(["train", "--config", path], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read config file {path}: ")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "7", "{"])
+    def test_file_that_is_not_an_object_named(self, text, tmp_path, capsys):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(text)
+        code, err = main_exit(["train", "--config", str(cfile)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: config file {cfile}: malformed config: ")
+
+    def test_bad_env_seed_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("FGPAN_SEED", "abc")
+        code, err = main_exit(["gradcheck"], capsys)
+        assert code == 2
+        assert err == "error: FGPAN_SEED: seed must be an integer, got 'abc'\n"
+        # a --seed flag means the variable is not read
+        assert parse_config(["gradcheck", "--seed", "2"]).seed == 2
 
 
 class TestGen:
@@ -320,6 +484,29 @@ class TestPipeline:
         )
         assert code == 1
         assert "malformed checkpoint header: missing field 'dim'" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infer_refuses_non_finite_prediction(self, corpus, tmp_path, capsys):
+        """A finite checkpoint whose aggregation logits overflow gives NaN
+        alpha and P; infer names the slide and writes no predictions."""
+        slides = [load_slide(p) for p in sorted(corpus.glob("*.slide"))]
+        params = init_params(8, 2, 2, grid_rows=4, grid_cols=4, seed=0)
+        w = np.full(params.agg.w.shape, 1e308)
+        w[1::2] = -1e308
+        params.agg.w = w
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(params, ckpt)
+        preds = tmp_path / "p.jsonl"
+        code, _, err = run(
+            ["infer", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--dim", "8", "--out", str(preds)], capsys,
+        )
+        assert code == 1
+        first = min(s.slide_id for s in slides)
+        assert (f"error (infer): slide {first!r}: alpha must be a finite probability vector"
+                in err)
+        assert not preds.exists()
 
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)
