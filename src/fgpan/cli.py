@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import get_args
 
 import numpy as np
@@ -36,6 +37,7 @@ from .data import (
 from .metrics import EvalRecord, auroc_ovr, balanced_accuracy, f1_scores
 from .params import init_params, load_checkpoint, save_checkpoint
 from .prototypes import interclass_distance, normalize_prototypes
+from .rowtext import read_files
 from .selection import SelectionStrategy, select_patches
 from .training import (
     TrainConfig,
@@ -140,7 +142,8 @@ def _bad_value(where: str, name: str, value) -> ValueError:
 
 def _read_config(path: str) -> dict:
     """A config file's values, each checked against its field: a bool is
-    never a number, an int stands for a float, null only for `... | None`."""
+    never a number, an int stands for a float (and is read as one), null
+    only for `... | None`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -160,6 +163,8 @@ def _read_config(path: str) -> dict:
             raise ValueError(
                 f"{where}: {name} must be one of {', '.join(_CHOICES[name])}, got {value!r}"
             )
+        if float in _TYPES[name] and value is not None:  # read as its flag reads it
+            values[name] = float(value)
     return values
 
 
@@ -226,11 +231,15 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ValueError(f"command {cfg.command!r} requires {_flag(name)}")
 
 
-def _load_slides(data_dir: str):
+def _load_slides(data_dir: str, *extra: tuple) -> tuple[list, list]:
+    """The slides under data_dir in sorted path order, read in one batch
+    with the extra reads (fgpan.rowtext.read_files), whose results are
+    returned as callables that give each one or raise its error."""
     paths = sorted(glob.glob(os.path.join(data_dir, "*.slide")))
     if not paths:
         raise ValueError(f"no *.slide files found in {data_dir}")
-    return [load_slide(p) for p in paths]
+    results = read_files([("slide", partial(load_slide, p)) for p in paths] + list(extra))
+    return [result() for result in results[: len(paths)]], results[len(paths) :]
 
 
 def _apply_selection(cfg: RunConfig, slides):
@@ -259,7 +268,7 @@ def _cmd_gen(cfg: RunConfig) -> int:
 
 def _cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "data", "prototypes", "checkpoint")
-    slides = _apply_selection(cfg, _load_slides(cfg.data))
+    slides = _apply_selection(cfg, _load_slides(cfg.data)[0])
     pset = normalize_prototypes(load_prototypes(cfg.prototypes))
     params, losses = train(
         slides,
@@ -279,14 +288,11 @@ def _cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _infer_params(cfg: RunConfig, slides):
-    if cfg.checkpoint:
-        return load_checkpoint(
-            cfg.checkpoint,
-            expect_dim=cfg.dim,
-            expect_window_size=cfg.window_size,
-            expect_heads=cfg.heads,
-        )
+def _infer_params(cfg: RunConfig, slides, checkpoint):
+    """The checkpoint's parameters, taken from the batch that read it with
+    the slides, or fresh ones without a checkpoint."""
+    if checkpoint:
+        return checkpoint[0]()
     print(f"note: no --checkpoint; using fresh-init parameters (seed {cfg.seed})",
           file=sys.stderr)
     grid_rows = max(s.grid_rows for s in slides)
@@ -304,9 +310,15 @@ def _infer_params(cfg: RunConfig, slides):
 
 def _cmd_infer(cfg: RunConfig) -> int:
     _require(cfg, "data", "prototypes", "out")
-    slides = _apply_selection(cfg, _load_slides(cfg.data))
+    extra = []
+    if cfg.checkpoint:  # read in the slides' batch, taken in _infer_params
+        extra.append(("checkpoint", partial(load_checkpoint, cfg.checkpoint, expect_dim=cfg.dim,
+                                            expect_window_size=cfg.window_size,
+                                            expect_heads=cfg.heads)))
+    slides, checkpoint = _load_slides(cfg.data, *extra)
+    slides = _apply_selection(cfg, slides)
     pset = normalize_prototypes(load_prototypes(cfg.prototypes))
-    params = _infer_params(cfg, slides)
+    params = _infer_params(cfg, slides, checkpoint)
     lines = []
     for s in sorted(slides, key=lambda x: x.slide_id):
         try:
@@ -331,7 +343,7 @@ def _cmd_infer(cfg: RunConfig) -> int:
 def _cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "data", "predictions")
     truth = {}
-    for s in _load_slides(cfg.data):
+    for s in _load_slides(cfg.data)[0]:
         if s.label is None:
             raise ValueError(f"slide {s.slide_id!r} has no ground-truth label")
         truth[s.slide_id] = s.label
@@ -397,7 +409,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
         cfg.fd_step,
         lwa_gff=cfg.choice("lwa_gff"),
     )
-    print(f"max-rel-error: {err!r} tolerance: {cfg.tolerance!r}")
+    print(f"max-rel-error: {float(err)!r} tolerance: {cfg.tolerance!r}")
     return 0 if err <= cfg.tolerance else 1
 
 

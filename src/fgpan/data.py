@@ -16,9 +16,10 @@ Prototype file format: one JSON object per line,
 Floats are written with the shortest round-trip decimal representation so
 identical records serialize to identical bytes; a large slide's text is
 formatted on every CPU the process may use (fgpan.rowtext), to the same
-bytes. A slide body is read back in
-one np.loadtxt call; the token parser _parse_decimals, which checkpoint
-files share, reads any body np.loadtxt does not take and names its fault.
+bytes, and a large batch of slide files is read there too. A slide body is
+read back in one np.loadtxt call; the token parser _parse_decimals, which
+checkpoint files share, reads any body np.loadtxt does not take and names
+its fault.
 """
 
 import json
@@ -31,7 +32,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .rowtext import row_texts
+from .rowtext import reader, row_texts
 
 __all__ = [
     "SlideRecord",
@@ -389,6 +390,15 @@ def load_slide(path) -> SlideRecord:
                 del table  # freed before validation allocates
                 return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
     return _load_slide_tokens(path)
+
+
+def _slide_fields(rec: SlideRecord) -> dict:
+    """The SlideRecord arguments that make rec again."""
+    return dict(slide_id=rec.slide_id, label=rec.label, coords=rec.coords(),
+                features=rec.matrix(), grid_rows=rec.grid_rows, grid_cols=rec.grid_cols)
+
+
+reader("slide", load_slide, _slide_fields, SlideRecord)
 
 
 # ---------------------------------------------------------------------------

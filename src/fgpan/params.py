@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .data import _header_fields, _json_object, _parse_decimals
-from .rowtext import row_texts
+from .rowtext import reader, row_texts
 
 __all__ = [
     "ModelParams",
@@ -387,7 +387,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def _fast_decimals(text: str) -> np.ndarray | None:
-    """The values of one checkpoint line after its leaf name, parsed by one
+    """The values of a piece of a checkpoint line, parsed by one
     np.fromstring call, which builds no string per value. None where that
     call might not read them as the token parser does: text it does not
     read to its end, blank text (which it reads as [-1.0]), or a non-finite
@@ -429,19 +429,43 @@ def _checkpoint_zeros(line: str, path, expects: dict) -> ModelParams:
         raise ValueError(f"{path}: {exc}") from None
 
 
+_PIECE_CHARS = 1 << 20  # characters of a leaf line read and parsed at a time
+# what np.fromstring(text, sep=" ") skips as whitespace (str.isspace takes more)
+_FROMSTRING_SPACE = " \t\n\v\f\r"
+
+
+def _fast_line(fh, out: np.ndarray) -> bool:
+    """Fill the flat vector out from the rest of the current line of fh,
+    read in pieces of _PIECE_CHARS characters, so the line's text never sits
+    in memory whole. Each piece's values are parsed by _fast_decimals; a
+    value cut at the end of a piece is carried into the next. False where
+    the whole line would not be read so: a piece _fast_decimals refuses,
+    or a count other than out.size (a blank line has none)."""
+    filled, carry, end = 0, "", False
+    while not end:
+        piece = fh.readline(_PIECE_CHARS)
+        text = carry + piece
+        end = piece.endswith("\n") or len(piece) < _PIECE_CHARS  # line or file ended
+        cut = len(text) if end else text.rfind(" ") + 1  # after the last whole value
+        text, carry = text[:cut], text[cut:]
+        if not text.strip(_FROMSTRING_SPACE):  # whitespace only: a separator, no values
+            continue
+        vals = _fast_decimals(text)
+        if vals is None or filled + vals.size > out.size:
+            return False
+        out[filled : filled + vals.size] = vals
+        filled += vals.size
+    return filled == out.size
+
+
 def _fast_leaves(fh, params: ModelParams) -> bool:
     """Fill params from the rest of an open checkpoint whose leaves come one
-    per line in schema order, each line's values read by _fast_decimals,
-    with nothing but blank lines after the last leaf; False at the first
-    line that is not so. The leaf name is read on its own, so the values
-    are parsed from readline's string as it is, with no copy of the line."""
+    per line in schema order, each line's values read by _fast_line, with
+    nothing but blank lines after the last leaf; False at the first line
+    that is not so."""
     for name, leaf in params.leaves():
-        if fh.readline(len(name) + 1) != name + " ":
+        if fh.readline(len(name) + 1) != name + " " or not _fast_line(fh, leaf.reshape(-1)):
             return False
-        vals = _fast_decimals(fh.readline())
-        if vals is None or vals.size != leaf.size:
-            return False
-        leaf.reshape(-1)[:] = vals
     return all(ln.isspace() for ln in fh)
 
 
@@ -491,11 +515,11 @@ def load_checkpoint(
 
     A file as save_checkpoint writes it (the header on line 1, then one
     line per leaf in schema order) is read by _fast_leaves, each leaf
-    parsed into its slice of a preallocated theta by one np.fromstring
-    call. Any other file is read again by the token parser, which skips
-    blank lines and takes the leaves in any order; an unknown, duplicate,
-    missing, miscounted or non-finite leaf raises a ValueError naming the
-    file and the leaf.
+    parsed into its slice of a preallocated theta by np.fromstring calls
+    over pieces of its line. Any other file is read again by the token
+    parser, which skips blank lines and takes the leaves in any order; an
+    unknown, duplicate, missing, miscounted or non-finite leaf raises a
+    ValueError naming the file and the leaf.
     """
     expects = dict(dim=expect_dim, window_size=expect_window_size, heads=expect_heads)
     with open(path, encoding="utf-8") as fh:
@@ -505,3 +529,6 @@ def load_checkpoint(
             if _fast_leaves(fh, params):
                 return params
     return _load_checkpoint_tokens(path, expects)
+
+
+reader("checkpoint", load_checkpoint, lambda p: dict(theta=p.theta, **p.dims), ModelParams)

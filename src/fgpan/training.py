@@ -70,8 +70,10 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        for name in ("learning_rate", "lambda_slide"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValueError("betas must lie in [0, 1)")

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from fgpan.cli import RunConfig, _build_parser, dispatch, main, parse_config
+from fgpan.cli import RunConfig, _build_parser, _echo, dispatch, main, parse_config
 from fgpan.data import load_prototypes, load_slide
 from fgpan.params import init_params, load_checkpoint, save_checkpoint
 
@@ -218,6 +218,20 @@ class TestConfigFileChecks:
         cfg = parse_config(["gradcheck", "--config", path])
         assert (cfg.tolerance, cfg.m_max, cfg.iterations) == (0, None, 3)
         assert (cfg.learning_rate, cfg.lwa_gff, cfg.data) == (0.5, "off", "d")
+
+    @pytest.mark.parametrize("key", ["lambda_slide", "learning_rate", "tolerance"])
+    def test_integer_for_a_float_reads_as_its_flag(self, key, tmp_path, capsys):
+        """{"lambda_slide": 2} is the run --lambda-slide 2 is: the same
+        echoed config and digest."""
+        from_file = parse_config(["gradcheck", "--config", write_config(tmp_path, {key: 2})])
+        from_flag = parse_config(["gradcheck", "--" + key.replace("_", "-"), "2"])
+        assert repr(getattr(from_file, key)) == "2.0"
+        for cfg in (from_file, from_flag):
+            _echo(cfg)
+        echo_file, echo_flag = capsys.readouterr().out.splitlines()[::2]
+        assert f'"{key}": 2.0' in echo_file
+        assert echo_file == echo_flag
+        assert from_file.digest() == from_flag.digest()
 
     def test_command_key_refused(self, tmp_path):
         path = write_config(tmp_path, {"command": "gen"})
@@ -508,6 +522,23 @@ class TestPipeline:
                 in err)
         assert not preds.exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--lambda-slide", "-1", "lambda_slide"), ("--lambda-slide", "nan", "lambda_slide"),
+        ("--lambda-slide", "inf", "lambda_slide"), ("--learning-rate", "nan", "learning_rate"),
+        ("--learning-rate", "inf", "learning_rate"),
+    ])
+    def test_train_refuses_bad_setting(self, corpus, tmp_path, capsys, flag, value, name):
+        ckpt = tmp_path / "model.ckpt"
+        code, err = main_exit(
+            ["train", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--dim", "8", "--iterations", "3", flag, value],
+            capsys,
+        )
+        assert code == 1
+        assert err == (f"error (train): {name} must be finite and non-negative, "
+                       f"got {float(value)!r}\n")
+        assert not ckpt.exists()
+
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)
         assert code == 1
@@ -518,7 +549,10 @@ class TestGradcheckCommand:
     def test_passes_under_tolerance(self, capsys):
         code, stdout, _ = run(["gradcheck", "--seed", "3"], capsys)
         assert code == 0
-        assert "max-rel-error" in stdout
+        # the error prints as a plain decimal, never as a numpy scalar repr
+        assert "np.float64(" not in stdout
+        err = re.fullmatch(r"max-rel-error: (\S+) tolerance: 1e-05", stdout.splitlines()[-1])
+        assert 0 <= float(err.group(1)) <= 1e-5
 
     def test_fails_over_tolerance(self, capsys):
         code, _, _ = run(["gradcheck", "--seed", "3", "--tolerance", "0"], capsys)

@@ -4,6 +4,7 @@ import operator
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,77 @@ class TestCheckpointFastPath:
         want = f"ckpt.txt: leaf 'agg.table': could not convert string to float: '{token}'"
         with pytest.raises(ValueError, match=re.escape(want)):
             load_checkpoint(path)
+
+
+def _load_outcome(path):
+    """What load_checkpoint gives for path: the bytes of theta or the error,
+    and whether the token parser read it."""
+    tokens = fgpan.params._load_checkpoint_tokens
+    used = []
+    fgpan.params._load_checkpoint_tokens = lambda *a: used.append(1) or tokens(*a)
+    try:
+        return load_checkpoint(path).theta.tobytes(), bool(used)
+    except ValueError as exc:
+        return str(exc), bool(used)
+    finally:
+        fgpan.params._load_checkpoint_tokens = tokens
+
+
+# tokens and separators of leaf text, valid or not
+_TOKENS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.sampled_from(["nan", "inf", "x", "1e", "--1", "nan(1)", "", "1_0"]))
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \x0b ", "\x1c", "\u2028", " \x85 ", "\n"])
+
+
+class TestCheckpointPieces:
+    """A leaf line is parsed in pieces of _PIECE_CHARS characters, a value
+    cut at a piece's end carried into the next: the values, and which files
+    go to the token parser, are those of parsing each line whole."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=6), st.integers(1, 12))
+    def test_any_leaf_text_loads_as_it_does_whole(self, tokens, piece):
+        params = init_params(1, 1, 1, seed=3)  # agg.w, the last leaf, has 2 values
+        text = "".join(t + sep for t, sep in tokens)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ckpt.txt")
+            save_checkpoint(params, path)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines[:-1] + ["agg.w " + text]) + "\n")
+            whole = _load_outcome(path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fgpan.params, "_PIECE_CHARS", piece)
+                assert _load_outcome(path) == whole
+
+    @pytest.mark.parametrize("piece", [1, 2, 7, 24, 25, 1 << 20])
+    def test_written_file_takes_the_fast_path_in_any_pieces(self, tmp_path, monkeypatch, piece):
+        p = init_params(8, 3, 2, seed=5, pos_mode="learned_table", grid_rows=4, grid_cols=5)
+        p = p.with_flat(np.random.default_rng(piece).choice(ADVERSARIAL, size=p.n_scalars))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        monkeypatch.setattr(fgpan.params, "_PIECE_CHARS", piece)
+        assert _load_outcome(path) == (p.theta.tobytes(), False)
+
+    def test_wsi_table_checkpoint_peak_memory(self, tmp_path):
+        """A wsi-shape checkpoint (d=256, S=4, 2 heads, a 64 x 64 learned
+        table: 1.51M values, 12 MB as theta and 32 MB as text) loads within
+        theta plus 8 MB of traced memory; reading each leaf line whole
+        peaked at 57 MB."""
+        p = init_params(256, 4, 2, pos_mode="learned_table", grid_rows=64, grid_cols=64)
+        p = p.with_flat(np.random.default_rng(0).standard_normal(p.n_scalars))
+        path = tmp_path / "wsi.ckpt"
+        save_checkpoint(p, path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            q = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert q.theta.tobytes() == p.theta.tobytes()
+        assert peak <= p.theta.nbytes + (8 << 20), peak
 
 
 class TestCheckpointRoundTrip:

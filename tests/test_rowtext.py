@@ -1,10 +1,16 @@
-"""Parallel row formatting: the same bytes as the serial writer, and a pool
-only where a write is large enough and the host has a CPU to spare."""
+"""Parallel row formatting and file reading: the same bytes as the serial
+writer, the same results and errors as the serial loaders, and a pool only
+where a write or read is large enough and the host has a CPU to spare."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,9 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fgpan.rowtext as rowtext
-from fgpan.cli import dispatch, parse_config
-from fgpan.data import SlideRecord, save_slide
-from fgpan.params import init_params, save_checkpoint
+import fgpan.cli
+from fgpan.cli import dispatch, main, parse_config
+from fgpan.data import SlideRecord, load_slide, save_slide
+from fgpan.params import ModelParams, init_params, load_checkpoint, save_checkpoint
 
 
 def serial_texts(values, widths):
@@ -34,8 +41,9 @@ def fresh_pool():
 
 @pytest.fixture()
 def four_cpus(monkeypatch, fresh_pool):
-    """Every write through a pool of three workers, whatever the host."""
+    """Every write and read through a pool of three workers, whatever the host."""
     monkeypatch.setattr(rowtext, "PARALLEL_VALUES", 1)
+    monkeypatch.setattr(rowtext, "PARALLEL_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
@@ -158,27 +166,37 @@ def _exit_with_pool_state():
 
 class TestWhenThePoolStarts:
     def test_desk_cli_run_starts_no_process(self, fresh_pool, tmp_path, capsys):
-        """gen, train and infer at desk size (1,024-value slides, a 1.9k-value
-        checkpoint) format every write in the caller."""
+        """gen, train, infer and eval at desk size (1,024-value slides, a
+        1.9k-value checkpoint, 40 slide files of about 21 KB) format every
+        write and read every file in the caller."""
         data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
         flags = ["--dim", "16", "--seed", "4"]
         for argv in (
-            ["gen", "--out", str(data), "--slides-per-class", "2"],
+            ["gen", "--out", str(data)],
             ["train", "--data", str(data), "--prototypes", str(data / "prototypes.jsonl"),
              "--checkpoint", str(ckpt), "--iterations", "2"],
             ["infer", "--data", str(data), "--prototypes", str(data / "prototypes.jsonl"),
              "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.jsonl")],
+            ["eval", "--data", str(data), "--predictions", str(tmp_path / "p.jsonl")],
         ):
             assert dispatch(parse_config(argv + flags)) == 0, capsys.readouterr().err
         assert 64 * 16 < rowtext.PARALLEL_VALUES
+        batch = sum(p.stat().st_size for p in [*data.glob("*.slide"), ckpt])
+        assert len(list(data.glob("*.slide"))) == 40 and batch < rowtext.PARALLEL_BYTES
         assert rowtext._pool is None
         assert multiprocessing.active_children() == []
 
-    def test_one_cpu_runs_serially(self, fresh_pool, monkeypatch):
+    def test_one_cpu_runs_serially(self, fresh_pool, monkeypatch, tmp_path):
         monkeypatch.setattr(rowtext, "PARALLEL_VALUES", 1)
+        monkeypatch.setattr(rowtext, "PARALLEL_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         values = np.linspace(-1.0, 1.0, 12)
         assert list(rowtext.row_texts(values, [3] * 4)) == serial_texts(values, [3] * 4)
+        paths = _write_slides(tmp_path, [3, 2])
+        calls = []
+        reads = [("slide", partial(_recording(load_slide, calls), p)) for p in paths]
+        assert _outcome(rowtext.read_files(reads)) == _outcome(_serial_reads(paths))
+        assert calls == paths
         assert rowtext._pool is None
         assert multiprocessing.active_children() == []
 
@@ -189,3 +207,326 @@ class TestWhenThePoolStarts:
         child.start()
         child.join(timeout=30)
         assert child.exitcode == 0
+
+
+def _fingerprint(result):
+    """Everything a read result holds, arrays as (dtype, shape, bytes), so
+    that equal fingerprints mean bitwise-equal results."""
+    if isinstance(result, ModelParams):
+        return "params", result.dims, result.theta.tobytes()
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (result.coords(), result.matrix())]
+    return "slide", result.slide_id, result.label, result.grid_rows, result.grid_cols, arrays
+
+
+def _write_slides(tmp_path, rows, d=3, seed=0):
+    """One slide file per entry of rows (its patch count), in sorted path
+    order, on a 4 x 4 grid; the values' text has one length, so a file's
+    size follows its row count."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for j, m in enumerate(rows):
+        cells = rng.permutation(16)[:m]
+        features = rng.integers(1, 9, size=(m, d)) / 8.0
+        rec = SlideRecord(f"s{j}", j % 3, np.stack(np.divmod(cells, 4), axis=1), features, 4, 4)
+        paths.append(tmp_path / f"s{j}.slide")
+        save_slide(rec, paths[-1])
+    return paths
+
+
+def _recording(load, calls):
+    """load, noting each path the caller reads with it."""
+    def recorded(path, **kwargs):
+        calls.append(path)
+        return load(path, **kwargs)
+    return recorded
+
+
+def _outcome(results):
+    """The fingerprints of results taken in order, or the first error's
+    type and message."""
+    try:
+        return [_fingerprint(take()) for take in results]
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def _serial_reads(paths, ckpt=None):
+    reads = [partial(load_slide, p) for p in paths]
+    if ckpt is not None:
+        reads.append(partial(load_checkpoint, ckpt, expect_dim=2))
+    return reads
+
+
+class TestReads:
+    # the fixtures run once around all examples, which share one pool
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4), st.one_of(st.none(),
+                                                                           st.integers(0, 9))),
+                    min_size=1, max_size=7),
+           st.sampled_from([None, "sinusoidal", "learned_table"]), st.data())
+    def test_pooled_reads_equal_serial(self, four_cpus, tmp_path, slides, pos_mode, data):
+        """Any number of slide files of any shape and values, with or
+        without a checkpoint: the same results, bit for bit, in order, and
+        the caller reads only its own share."""
+        paths = []
+        for j, (m, d, label) in enumerate(slides):
+            values = data.draw(st.lists(finite, min_size=m * d, max_size=m * d))
+            cells = np.array(data.draw(st.permutations(range(16))))[:m]
+            rec = SlideRecord(f"s{j}", label, np.stack(np.divmod(cells, 4), axis=1),
+                              np.array(values).reshape(m, d), 4, 4)
+            paths.append(tmp_path / f"s{j}.slide")
+            save_slide(rec, paths[-1])
+        ckpt = None
+        if pos_mode is not None:
+            params = init_params(2, 2, 1, pos_mode=pos_mode, grid_rows=2, grid_cols=3)
+            values = data.draw(st.lists(finite, min_size=params.n_scalars,
+                                        max_size=params.n_scalars))
+            ckpt = tmp_path / "m.ckpt"
+            save_checkpoint(params.with_flat(np.array(values)), ckpt)
+        serial = _serial_reads(paths, ckpt)
+        calls = []
+        kinds = ["slide"] * len(paths) + ["checkpoint"] * (ckpt is not None)
+        reads = [(kind, partial(_recording(load.func, calls), *load.args, **load.keywords))
+                 for kind, load in zip(kinds, serial)]
+        results = rowtext.read_files(reads)
+        assert len(calls) < len(reads)  # the workers read the rest
+        assert _outcome(results) == _outcome(serial)
+        assert len(rowtext._pool) == 3
+
+    @pytest.mark.parametrize("fault", ["token", "row count"])
+    @pytest.mark.parametrize("first", ["caller", "worker"])
+    def test_first_fault_in_serial_order_is_reported(self, four_cpus, tmp_path, fault, first):
+        """A faulty file on the caller's share and one on a worker's: the
+        error taken is the serial loader's for the first in path order."""
+        paths = _write_slides(tmp_path, [3, 9, 1, 7, 5, 8, 2])
+        calls = []
+        rowtext.read_files([("slide", partial(_recording(load_slide, calls), p))
+                            for p in paths])
+        mine = [p for p in paths if p in calls]
+        theirs = [p for p in paths if p not in calls]
+        if first == "caller":
+            a = mine[0]
+            b = next(p for p in theirs if p > a)
+        else:
+            a = theirs[0]
+            b = next(p for p in mine if p > a)
+        for path in (a, b):  # each fault keeps the file's size, so the shares stay
+            text = path.read_text()
+            if fault == "token":
+                text = text[: text.rindex(" ") + 1] + "x" + text[text.rindex(" ") + 2 :]
+            else:
+                text = text.replace('"M": ', '"M": 1', 1).replace(', "grid_rows"', ',"grid_rows"')
+            path.write_text(text)
+        calls.clear()
+        pooled = rowtext.read_files([("slide", partial(_recording(load_slide, calls), p))
+                                     for p in paths])
+        assert (a in calls) == (first == "caller") and (b in calls) == (first == "worker")
+        want = _outcome(_serial_reads(paths))
+        assert want[0] is ValueError and str(a) in want[1]
+        assert _outcome(pooled) == want
+
+    @pytest.mark.parametrize("when", ["reading", "sending"])
+    def test_worker_killed_mid_read(self, four_cpus, tmp_path, monkeypatch, when):
+        """Every worker dies at its second file, while it reads it or while
+        it sends it after sending the first: the caller's loader reads what
+        they did not send, the results are the same, and the next read
+        makes a new pool."""
+        paths = _write_slides(tmp_path, [4] * 9)  # two files or more per worker
+        caller = os.getpid()
+        load, fields, build = rowtext._readers["slide"]
+        seen = []  # in a worker, the files it has handled
+
+        def second_file_in_worker(stage):
+            if os.getpid() != caller and stage == when:
+                seen.append(1)
+                if len(seen) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+        class DieWhenSent(str):
+            def __reduce__(self):
+                second_file_in_worker("sending")
+                return str, (str(self),)
+
+        def dying_load(path):
+            second_file_in_worker("reading")
+            return load(path)
+
+        def dying_fields(rec):
+            return {**fields(rec), "slide_id": DieWhenSent(rec.slide_id)}
+
+        monkeypatch.setitem(rowtext._readers, "slide", (dying_load, dying_fields, build))
+        rowtext._drop_pool()  # the writes made one; workers forked from here read so
+        want = _outcome(_serial_reads(paths))
+        reads = [("slide", load) for load in _serial_reads(paths)]
+        assert _outcome(rowtext.read_files(reads)) == want
+        assert rowtext._pool is None
+        monkeypatch.setitem(rowtext._readers, "slide", (load, fields, build))
+        assert _outcome(rowtext.read_files(reads)) == want
+        assert rowtext._pool is not None
+
+    def test_read_while_another_thread_writes(self, four_cpus, tmp_path):
+        """A read that starts while a write holds the pool reads every file
+        in its own thread, and neither sees the other's data."""
+        paths = _write_slides(tmp_path, [5, 3, 6, 2])
+        values = np.arange(60) / 7.0
+        texts = rowtext.row_texts(values, [5] * 12)
+        got = [next(texts)]  # the write now holds the pool
+        calls, out = [], []
+        reads = [("slide", partial(_recording(load_slide, calls), p)) for p in paths]
+        reader = threading.Thread(target=lambda: out.append(_outcome(rowtext.read_files(reads))))
+        reader.start()
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert calls == paths  # all in the reading thread, none through the pool
+        assert out == [_outcome(_serial_reads(paths))]
+        got += list(texts)
+        assert got == serial_texts(values, [5] * 12)
+
+    def test_threads_reading_and_writing(self, four_cpus, tmp_path):
+        """More threads than CPUs, reading and writing, switching as often as
+        the interpreter allows: every read and write gets its own data."""
+        paths = _write_slides(tmp_path, [2, 5, 3, 4, 1, 6])
+        want = _outcome(_serial_reads(paths))
+        reads = [("slide", load) for load in _serial_reads(paths)]
+        widths = [7] * 30
+
+        def work(k):
+            values = np.arange(210) / (k + 3.0)
+            return [_outcome(rowtext.read_files(reads)) == want
+                    and list(rowtext.row_texts(values, widths)) == serial_texts(values, widths)
+                    for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as ex:
+                futures = [ex.submit(work, k) for k in range(12)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(all(r) for r in results)
+
+
+def _infer_argv(data, ckpt, out):
+    return ["infer", "--data", str(data), "--prototypes", str(data / "prototypes.jsonl"),
+            "--checkpoint", str(ckpt), "--out", str(out), "--dim", "8", "--seed", "2"]
+
+
+@pytest.fixture()
+def corpus(tmp_path, capsys):
+    """A small corpus and a checkpoint trained on it."""
+    data = tmp_path / "data"
+    assert main_code(["gen", "--out", str(data), "--classes", "2", "--slides-per-class", "3",
+                      "--patches-per-slide", "9", "--dim", "8", "--grid-rows", "4",
+                      "--grid-cols", "4", "--seed", "2"]) == 0
+    assert main_code(["train", "--data", str(data), "--prototypes",
+                      str(data / "prototypes.jsonl"), "--checkpoint", str(tmp_path / "m.ckpt"),
+                      "--dim", "8", "--iterations", "2", "--seed", "2"]) == 0
+    capsys.readouterr()
+    return data
+
+
+def main_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def _corrupt(path, fault):
+    text = path.read_text()
+    if fault == "missing":
+        path.unlink()
+    elif fault == "dims":
+        path.write_text(text.replace('"dim": 8', '"dim": 4', 1))
+    elif fault == "non-finite":
+        path.write_text(text.replace("\nfusion.b_f ", "\nfusion.b_f nan ", 1))
+    elif fault == "truncated":
+        path.write_text(text[: len(text) // 2])
+
+
+class TestInferReads:
+    @pytest.mark.parametrize("fault", ["missing", "dims", "non-finite", "truncated"])
+    @pytest.mark.parametrize("bad_slide", [False, True])
+    def test_bad_checkpoint_reported_as_serially(self, four_cpus, corpus, tmp_path,
+                                                 monkeypatch, capsys, fault, bad_slide):
+        """A bad checkpoint with good slides, or with a bad slide too: the
+        same stdout, stderr and exit code as the serial read, and no
+        predictions file."""
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "p.jsonl"
+        _corrupt(ckpt, fault)
+        if bad_slide:
+            slide = sorted(corpus.glob("*.slide"))[-1]
+            slide.write_text(slide.read_text().replace('"M": 9', '"M": 8'))
+        runs = []
+        for threshold in (1 << 62, 1):
+            monkeypatch.setattr(rowtext, "PARALLEL_BYTES", threshold)
+            code = main_code(_infer_argv(corpus, ckpt, out))
+            runs.append((code, *capsys.readouterr()))
+            assert not out.exists()
+        assert rowtext._pool is not None
+        assert runs[1] == runs[0]
+        code, _, err = runs[0]
+        assert code == 1 and err.startswith("error (infer): ")
+        assert ("declares M=8" in err) == bad_slide
+
+    def test_caller_share_goes_through_the_cli_loaders(self, four_cpus, corpus, tmp_path,
+                                                      monkeypatch, capsys):
+        """infer's own share calls fgpan.cli.load_slide and load_checkpoint as
+        they are when it runs, so a tracer that replaces them sees it; the
+        workers read the rest."""
+        calls = []
+        monkeypatch.setattr(fgpan.cli, "load_slide", _recording(load_slide, calls))
+        monkeypatch.setattr(fgpan.cli, "load_checkpoint", _recording(load_checkpoint, calls))
+        argv = _infer_argv(corpus, tmp_path / "m.ckpt", tmp_path / "p.jsonl")
+        assert dispatch(parse_config(argv)) == 0, capsys.readouterr().err
+        files = [*sorted(map(str, corpus.glob("*.slide"))), str(tmp_path / "m.ckpt")]
+        assert 0 < len(calls) < len(files) and set(calls) <= set(files)
+
+    def test_good_inputs_predict_as_serially(self, four_cpus, corpus, tmp_path, monkeypatch,
+                                             capsys):
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "p.jsonl"
+        runs = []
+        for threshold in (1 << 62, 1):
+            monkeypatch.setattr(rowtext, "PARALLEL_BYTES", threshold)
+            assert main_code(_infer_argv(corpus, ckpt, out)) == 0
+            runs.append((*capsys.readouterr(), out.read_bytes()))
+        assert runs[1] == runs[0]
+
+
+_EXITING_INFER = """
+import os, sys
+import fgpan.rowtext as rowtext
+from fgpan.cli import main
+rowtext.PARALLEL_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+try:
+    main(sys.argv[1:])
+finally:
+    print(*(proc.pid for proc, _ in rowtext._pool or ()), file=sys.stderr)
+"""
+
+
+def test_no_worker_outlives_its_process(corpus, tmp_path):
+    """A CLI infer that read through the pool exits, and its workers are
+    gone with it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXITING_INFER,
+         *_infer_argv(corpus, tmp_path / "m.ckpt", tmp_path / "p.jsonl")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stderr.splitlines()[-1].split()]
+    assert len(pids) == 3
+
+    def alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    deadline = time.monotonic() + 10
+    while any(map(alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(alive, pids))

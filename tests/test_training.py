@@ -3,6 +3,7 @@ training loop."""
 
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -560,6 +561,21 @@ class TestTrain:
         cfg = desk_profile(iterations=1)
         with pytest.raises(ValueError, match="outside prototype set"):
             train(slides, cfg, two)
+
+    @pytest.mark.parametrize("name, value", [
+        ("lambda_slide", -1.0), ("lambda_slide", math.nan), ("lambda_slide", math.inf),
+        ("learning_rate", -1e-3), ("learning_rate", math.nan), ("learning_rate", -math.inf),
+    ])
+    def test_bad_setting_refused_by_name(self, name, value):
+        """Before any step: a negative lambda_slide trains against the label,
+        and a NaN would surface only as a non-finite parameter leaf."""
+        want = f"{name} must be finite and non-negative, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            TrainConfig(**{name: value})
+
+    def test_zero_settings_accepted(self):
+        cfg = TrainConfig(learning_rate=0.0, lambda_slide=0.0)
+        assert (cfg.learning_rate, cfg.lambda_slide) == (0.0, 0.0)
 
     def test_profiles(self):
         desk = desk_profile()
