@@ -40,12 +40,17 @@ heads = [
     for _ in range(2)
 ]
 
-runs = [window_attention(f, layout, head) for head in heads]
-print("per-head refined feature shapes:", [out.shape for out, _ in runs])
+# The kernel takes each head re-associated: the logits (f W_Q)(f W_K)^T are
+# (f M) f^T with M = W_Q W_K^T, and it returns Y = A f, whose product with
+# W_V is the head output A (f W_V). f is padded once and shared by the heads.
+f_pad = layout.pad(f)
+runs = [window_attention(f_pad, f @ (h.W_Q @ h.W_K.T), layout, h.bias_table) for h in heads]
+outputs = [y @ h.W_V for (y, _), h in zip(runs, heads)]
+print("per-head refined feature shapes:", [out.shape for out in outputs])
 
 # every window is padded to S*S slots; empty key slots get zero weight and
 # the rows of empty query slots are dropped
-a = runs[0][1][3]
+a = runs[0][1]
 print("batched attention weights:", a.shape)
 filled = layout.mask.sum(axis=1)
 w0 = int(np.flatnonzero((filled > 1) & (filled < S * S))[0])  # a partly empty window
@@ -54,10 +59,20 @@ print("window", tuple(layout.tiles[w0].tolist()), "attention among its members:"
 print(np.round(a[w0][np.ix_(m0, m0)], 4))
 print("row sums:", a[w0][m0].sum(axis=1), "weight on empty slots:", a[w0][m0][:, ~m0].sum())
 
-# locality: patches in other windows never contribute
+# the same weights from three explicit projections, q = f W_Q and k = f W_K
 idx0 = np.flatnonzero(layout.window == w0)
+q, k = f[idx0] @ heads[0].W_Q, f[idx0] @ heads[0].W_K
+slots = layout.slot[idx0] % (S * S)
+z = (q @ k.T + heads[0].bias_table.ravel()[layout.bias_index[np.ix_(slots, slots)]]) / np.sqrt(d)
+e = np.exp(z - z.max(axis=1, keepdims=True))
+dense = e / e.sum(axis=1, keepdims=True)
+gap = np.abs(dense - a[w0][np.ix_(slots, slots)]).max()
+print(f"largest gap to the three-projection weights in that window: {gap:.1e}")
+
+# locality: patches in other windows never contribute
 f2 = f.copy()
 f2[layout.window != w0] = 0.0
-perturbed, _ = window_attention(f2, layout, heads[0])
-same = np.array_equal(runs[0][0][idx0], perturbed[idx0])
+y2, _ = window_attention(layout.pad(f2), f2 @ (heads[0].W_Q @ heads[0].W_K.T), layout,
+                         heads[0].bias_table)
+same = np.array_equal(outputs[0][idx0], (y2 @ heads[0].W_V)[idx0])
 print("that window's output unchanged after zeroing every other window:", same)

@@ -1,5 +1,5 @@
-"""Local window attention: spatial tiling plus per-window multi-head
-self-attention with a relative positional bias.
+"""Local window attention: spatial tiling plus per-window self-attention
+with a relative positional bias.
 
 Patches are tiled into non-overlapping S x S windows by integer division of
 their grid coordinates. Each window is padded to S^2 slots ordered by the
@@ -10,14 +10,19 @@ window only (as in Swin Transformer, arXiv:2103.14030). The bias is a
 per-head (2S-1) x (2S-1) table indexed by the relative (row, col)
 displacement of the query patch minus the key patch, added to Q K^T before
 the sqrt(d) scaling.
+
+The kernels take the head's projections already re-associated: the logits
+Q K^T = f W_Q W_K^T f^T are taken as (f M) f^T with M = W_Q W_K^T, and the
+head output A (f W_V) as (A f) W_V, so a kernel attends over the padded
+inputs f themselves and returns Y = A f. The caller forms M and folds W_V
+into the layers after it (training._fold); the kernels never see a
+projection matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .params import AttentionHeadParams
 
 __all__ = [
     "WindowLayout",
@@ -50,6 +55,17 @@ class WindowLayout:
     @property
     def n_windows(self) -> int:
         return self.tiles.shape[0]
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """Scatter (M, d) rows into zero-filled (n_windows, S^2, d) slots."""
+        n_win, s2 = self.mask.shape
+        out = np.zeros((n_win * s2, x.shape[1]))
+        out[self.slot] = x
+        return out.reshape(n_win, s2, x.shape[1])
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """Gather the real rows of (n_windows, S^2, d) back into (M, d)."""
+        return x.reshape(-1, x.shape[2])[self.slot]
 
 
 def partition_coords(coords: np.ndarray, window_size: int) -> WindowLayout:
@@ -85,64 +101,42 @@ def partition_coords(coords: np.ndarray, window_size: int) -> WindowLayout:
     )
 
 
-def _pad(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
-    """Scatter (M, d) rows into zero-filled (n_windows, S^2, d) slots."""
-    n_win, s2 = layout.mask.shape
-    out = np.zeros((n_win * s2, x.shape[1]))
-    out[layout.slot] = x
-    return out.reshape(n_win, s2, x.shape[1])
-
-
-def _unpad(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
-    """Gather the real rows of (n_windows, S^2, d) back into (M, d)."""
-    return x.reshape(-1, x.shape[2])[layout.slot]
-
-
-def window_attention(f: np.ndarray, layout: WindowLayout, head: AttentionHeadParams):
+def window_attention(f_pad: np.ndarray, fm: np.ndarray, layout: WindowLayout,
+                     bias_table: np.ndarray):
     """One head of self-attention over every window of a layout at once.
 
-    f is the slide's (M, d) feature matrix and layout the output of
-    partition_coords. Every window is padded to S^2 slots; empty key slots
-    get a -inf logit, so they carry exactly zero weight, and the rows of
-    empty query slots are dropped. Returns the (M, d) head output and the
-    cache (q, k, v, a) window_attention_backward reads: padded
-    (n_windows, S^2, d) projections and the (n_windows, S^2, S^2)
-    attention weights.
+    f_pad is the slide's (M, d) inputs padded by layout.pad, shared by every
+    head, and fm the head's (M, d) f M with M = W_Q W_K^T. The logits are
+    ((f M)_pad f_pad^T + bias) / sqrt(d); empty key slots get a -inf logit,
+    so they carry exactly zero weight, and the rows of empty query slots are
+    dropped. Returns the (M, d) attended inputs Y = A f, window by window
+    (the head output is Y W_V), and the (n_windows, S^2, S^2) attention
+    weights A that window_attention_backward reads.
     """
-    q = _pad(f @ head.W_Q, layout)
-    k = _pad(f @ head.W_K, layout)
-    v = _pad(f @ head.W_V, layout)
-    z = q @ k.transpose(0, 2, 1)
-    z += head.bias_table.ravel()[layout.bias_index]
-    z /= math.sqrt(head.dim)
+    z = layout.pad(fm) @ f_pad.transpose(0, 2, 1)
+    z += bias_table.ravel()[layout.bias_index]
+    z /= math.sqrt(f_pad.shape[2])
     z = np.where(layout.mask[:, None, :], z, -np.inf)
     z -= z.max(axis=2, keepdims=True)
     a = np.exp(z, out=z)
     a /= a.sum(axis=2, keepdims=True)
-    return _unpad(a @ v, layout), (q, k, v, a)
+    return layout.unpad(a @ f_pad), a
 
 
-def window_attention_backward(
-    f: np.ndarray, layout: WindowLayout, head: AttentionHeadParams, cache, d_out: np.ndarray
-):
-    """Gradients of one head's window attention given d(loss)/d(output).
+def window_attention_backward(f_pad: np.ndarray, layout: WindowLayout, a: np.ndarray,
+                              d_y: np.ndarray):
+    """Gradients of window_attention's inputs given d(loss)/d(Y).
 
-    Returns (dW_Q, dW_K, dW_V, d_bias_table). Empty query slots receive a
-    zero upstream gradient and empty key slots hold zero weight, so padding
-    contributes nothing.
+    a is the attention weights window_attention returned. Returns (d_fm,
+    d_bias): the (M, d) gradient with respect to fm (f^T d_fm is that of
+    M = W_Q W_K^T) and the (2S-1, 2S-1) bias-table gradient. Empty query
+    slots receive a zero upstream gradient and empty key slots hold zero
+    weight, so padding contributes nothing.
     """
-    q, k, v, a = cache
-    # dV -> dW_V, then dz and the bias, then dQ -> dW_Q and dK -> dW_K: each
-    # padded (n_windows, S^2, d) buffer is freed once it has been used
-    do = _pad(d_out, layout)
-    d_wv = f.T @ _unpad(a.transpose(0, 2, 1) @ do, layout)
-    d_a = do @ v.transpose(0, 2, 1)
-    del do
+    d_a = layout.pad(d_y) @ f_pad.transpose(0, 2, 1)
     dz = a * (d_a - (a * d_a).sum(axis=2, keepdims=True))
-    dz /= math.sqrt(head.dim)
-    d_bias = np.bincount(
-        layout.bias_index.ravel(), dz.sum(axis=0).ravel(), minlength=head.bias_table.size
-    ).reshape(head.bias_table.shape)
-    d_wq = f.T @ _unpad(dz @ k, layout)
-    d_wk = f.T @ _unpad(dz.transpose(0, 2, 1) @ q, layout)
-    return d_wq, d_wk, d_wv, d_bias
+    dz /= math.sqrt(f_pad.shape[2])
+    # bias_index takes every displacement, so the count has (2S-1)^2 bins
+    side = 2 * math.isqrt(layout.mask.shape[1]) - 1
+    d_bias = np.bincount(layout.bias_index.ravel(), dz.sum(axis=0).ravel())
+    return layout.unpad(dz @ f_pad), d_bias.reshape(side, side)

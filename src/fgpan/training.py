@@ -9,6 +9,19 @@ and of the patch + slide cross entropy, the slide term taken in log space.
 Its contract is agreement with central finite differences to 1e-5 relative
 error in double precision.
 
+The refinement stage runs re-associated. Head l's logits take
+M_l = W_Q^l W_K^l^T, its gate c_l = W_V^l w_g^l, and the fusion the stacked
+P = [W_V^l W_f^T]_l, where Y_l = A_l f is the head's attended inputs. A
+forward runs 2L (M, d) x (d, d)-sized products, f M_l per head and one
+[gamma_0 Y_0 | gamma_1 Y_1 ...] P, where the three-projection form ran
+3L + 1; the backward runs 3L: Z^T dh, dh P^T and f^T [d fm_0 | d fm_1 ...],
+where it ran 3L + 2. _fold forms the d x d products and _unfold_grads turns
+the gradients of M_l, P and c_l into those of W_Q, W_K, W_V, w_g and W_f,
+once per call, not once per stack. They cost 2L d^3 multiply-adds per
+forward and 4L d^3 per backward whatever the rows, so a call over few rows
+at large d runs slower than the three-projection form did (README,
+"Refinement cost").
+
 total_loss and grad_total_loss run a batch as stacks: consecutive slides
 whose rows together fit in _STACK_ROWS share one forward (and one backward)
 over their concatenated rows, each slide moved to its own band of the
@@ -70,10 +83,12 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        for name in ("learning_rate", "lambda_slide"):
+        for name in ("learning_rate", "weight_decay", "lambda_slide"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValueError("betas must lie in [0, 1)")
@@ -116,53 +131,88 @@ def _stacked_grid(coords: np.ndarray, sizes: np.ndarray, s: int) -> np.ndarray:
     return shifted
 
 
+def _fold(params: ModelParams):
+    """The d x d products the refinement stage runs on: mq = [M_0 | M_1 ...]
+    (d, L d) with M_l = W_Q^l W_K^l^T, the stacked fusion P (L d, d) with
+    blocks W_V^l W_f^T, and the gate vectors c (L, d), c_l = W_V^l w_g^l."""
+    heads = params.lwa.heads
+    w_f = params.fusion.W_f
+    mq = np.concatenate([head.W_Q @ head.W_K.T for head in heads], axis=1)
+    p = np.concatenate([head.W_V @ w_f.T for head in heads])
+    c = np.stack([head.W_V @ w for head, w in zip(heads, params.gates.w_g)])
+    return mq, p, c
+
+
+def _unfold_grads(params: ModelParams, d_fold, grads: ModelParams) -> None:
+    """Add to grads the leaf gradients behind d_fold, the gradients of
+    _fold's (mq, P, c)."""
+    d_mq, d_p, d_c = d_fold
+    d = params.dim
+    w_f = params.fusion.W_f
+    for l, (head, g_head) in enumerate(zip(params.lwa.heads, grads.lwa.heads)):
+        d_m, d_p_l = d_mq[:, l * d:(l + 1) * d], d_p[l * d:(l + 1) * d]
+        g_head.W_Q += d_m @ head.W_K
+        g_head.W_K += d_m.T @ head.W_Q
+        g_head.W_V += d_p_l @ w_f + np.outer(d_c[l], params.gates.w_g[l])
+        grads.gates.w_g[l] += head.W_V.T @ d_c[l]
+        grads.fusion.W_f += d_p_l.T @ head.W_V
+
+
 def _forward_core(
     f: np.ndarray,
     coords: np.ndarray,
     params: ModelParams,
     t_mat: np.ndarray,
-    lwa_gff: bool,
+    fold,
     sizes: list[int] | None = None,
     for_backward: bool = True,
 ):
     """The forward pass of one slide, or of a stack of slides.
 
-    A stack concatenates its slides' rows in f and coords, sizes[j] rows for
-    slide j; sizes None is one slide. alpha and log_alpha are normalized
-    within each slide, and p_slide is (C,) for one slide and (n_slides, C)
-    when sizes is given. Returns the intermediates the backward reads:
-    u_in = [H || phi] is built once and h, phi are views of its halves;
-    h_hat is not kept (the backward recomputes it as h / h_norm). A pass
-    with no backward after it (for_backward False) keeps no head's padded
-    q, k, v and attention weights: each head's are freed once its output
-    is formed, and cache["attn"] is empty.
+    fold is _fold(params), or None to bypass the refinement stage. A stack
+    concatenates its slides' rows in f and coords, sizes[j] rows for slide
+    j; sizes None is one slide. alpha and log_alpha are normalized within
+    each slide, and p_slide is (C,) for one slide and (n_slides, C) when
+    sizes is given. Returns the intermediates the backward reads: u_in =
+    [H || phi] is built once and h, phi are views of its halves; h_hat is
+    not kept (the backward recomputes it as h / h_norm); y = [Y_0 | Y_1 ...]
+    and z = [gamma_0 Y_0 | gamma_1 Y_1 ...] are (M, L d), and attn holds
+    each head's attention weights. A pass with no backward after it
+    (for_backward False) keeps none of these: it gates y in place and
+    frees each head's weights once its Y_l is formed.
     """
     one_slide = sizes is None
     sizes = np.array([f.shape[0]] if one_slide else sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
-    cache: dict = {"f": f, "coords": coords, "lwa_gff": lwa_gff, "sizes": sizes,
-                   "bounds": bounds}
+    cache: dict = {"f": f, "coords": coords, "fold": fold, "sizes": sizes, "bounds": bounds}
     d = params.dim
     u_in = np.empty((f.shape[0], 2 * d))
     h, phi = u_in[:, :d], u_in[:, d:]
-    if lwa_gff:
+    if fold is not None:
+        mq, p_fuse, c = fold
         s_win = params.window_size
         layout = partition_coords(_stacked_grid(coords, sizes, s_win), s_win)
-        heads_h = []
+        f_pad = layout.pad(f)  # shared by every head
+        y = np.empty((f.shape[0], mq.shape[1]))
         attn = []
-        for head in params.lwa.heads:
-            h_out, head_cache = window_attention(f, layout, head)
-            heads_h.append(h_out)
+        for l, head in enumerate(params.lwa.heads):
+            # f M_l one head at a time: an (M, L d) f mq would outweigh y
+            # in a forward-only pass's peak
+            cols = slice(l * d, (l + 1) * d)
+            y[:, cols], a = window_attention(f_pad, f @ mq[:, cols], layout, head.bias_table)
             if for_backward:
-                attn.append(head_cache)
-            del head_cache
-        a_pre = np.stack([h @ w + b for h, w, b in
-                          zip(heads_h, params.gates.w_g, params.gates.b_g)])
-        gamma = expit(a_pre)  # (L, M)
-        g_sum = np.einsum("lm,lmd->md", gamma, np.stack(heads_h))
-        h[...] = g_sum @ params.fusion.W_f.T + params.fusion.b_f
-        cache.update(layout=layout, heads_h=heads_h, attn=attn, gamma=gamma, g_sum=g_sum)
+                attn.append(a)
+            del a
+        y3 = y.reshape(f.shape[0], -1, d)  # (M, L, d) view
+        gamma = expit(np.einsum("mld,ld->lm", y3, c) + params.gates.b_g[:, None])  # (L, M)
+        z = np.multiply(y3, gamma.T[:, :, None], out=None if for_backward else y3)
+        z = z.reshape(y.shape)
+        h[...] = z @ p_fuse + params.fusion.b_f
+        cache.update(layout=layout, gamma=gamma)
+        if for_backward:
+            cache.update(f_pad=f_pad, y=y, z=z, attn=attn)
+        del f_pad, y, z
     else:
         h[...] = f
     h_norm = np.linalg.norm(h, axis=1)
@@ -223,10 +273,12 @@ def _stack_objective(cache: dict, labels: list[int], lam: float):
 
 def _backward_core(
     cache: dict, labels: list[int], lam: float, r: np.ndarray, params: ModelParams,
-    t_mat: np.ndarray, grads: ModelParams,
+    t_mat: np.ndarray, grads: ModelParams, d_fold,
 ) -> None:
     """Accumulate the (unscaled) gradient contribution of a stack's slides
-    into grads; r is the responsibility vector from _stack_objective.
+    into grads, and that of _fold's products into d_fold (zeros shaped
+    like them, or None when the refinement stage is bypassed); r is the
+    responsibility vector from _stack_objective.
 
     The cache is consumed: each large buffer leaves it at its last use, so
     the pass holds only what the backward still reads."""
@@ -259,35 +311,39 @@ def _backward_core(
     if params.agg.positional_mode == "learned_table":
         coords = cache["coords"]
         flat = coords[:, 0] * params.agg.grid_cols + coords[:, 1]
-        np.add.at(grads.agg.table, flat, du[:, None] * params.agg.w[None, d:])
+        d_phi = du[:, None] * params.agg.w[None, d:]
+        for lo, hi in cache["bounds"]:
+            # an indexed += adds a repeated cell only once: a slide's
+            # cells are distinct, a stack's need not be
+            grads.agg.table[flat[lo:hi]] += d_phi[lo:hi]
+        del d_phi
 
-    if not cache["lwa_gff"]:
+    if cache["fold"] is None:
         return
 
-    # fusion H = W_f G + b_f
-    grads.fusion.W_f += dh.T @ cache.pop("g_sum")
+    # fusion h = z P + b_f, z = [gamma_l Y_l]_l; dz becomes [dY_l]_l, then
+    # [d fm_l]_l in place, head by head
+    _, p_fuse, c = cache["fold"]
+    d_mq, d_p, d_c = d_fold
     grads.fusion.b_f += dh.sum(axis=0)
-    dg = dh @ params.fusion.W_f
+    d_p += cache.pop("z").T @ dh
+    dz = dh @ p_fuse.T
     del dh
 
-    gamma = cache["gamma"]
-    heads_h, attn = cache.pop("heads_h"), cache.pop("attn")
+    gamma, y, attn = cache["gamma"], cache.pop("y"), cache.pop("attn")
+    f_pad, layout = cache.pop("f_pad"), cache["layout"]
     for l, (head, g_head) in enumerate(zip(params.lwa.heads, grads.lwa.heads)):
-        h_l, heads_h[l] = heads_h[l], None
-        d_gamma = (dg * h_l).sum(axis=1)
-        da = gamma[l] * (1.0 - gamma[l]) * d_gamma
-        grads.gates.w_g[l] += h_l.T @ da
+        cols = slice(l * d, (l + 1) * d)
+        y_l, d_y = y[:, cols], dz[:, cols]
+        da = gamma[l] * (1.0 - gamma[l]) * np.einsum("md,md->m", d_y, y_l)
+        d_c[l] += da @ y_l
         grads.gates.b_g[l] += da.sum()
-        dh_l = gamma[l][:, None] * dg + da[:, None] * params.gates.w_g[l][None, :]
-        del h_l
-        d_wq, d_wk, d_wv, d_bias = window_attention_backward(
-            cache["f"], cache["layout"], head, attn[l], dh_l
-        )
-        attn[l] = None  # this head's padded q, k, v freed before the next
-        g_head.W_Q += d_wq
-        g_head.W_K += d_wk
-        g_head.W_V += d_wv
+        d_y *= gamma[l][:, None]
+        d_y += da[:, None] * c[l]
+        d_y[...], d_bias = window_attention_backward(f_pad, layout, attn[l], d_y)
+        attn[l] = None  # this head's weights freed before the next
         g_head.bias_table += d_bias
+    d_mq += cache["f"].T @ dz
 
 
 def forward_slide(
@@ -306,8 +362,8 @@ def forward_slide(
     t_mat = _checked_proto_matrix(pset, slide.dim)
     if slide.dim != params.dim:
         raise ValueError(f"slide dim {slide.dim} does not match params dim {params.dim}")
-    cache = _forward_core(slide.matrix(), slide.coords(), params, t_mat, lwa_gff,
-                          for_backward=False)
+    cache = _forward_core(slide.matrix(), slide.coords(), params, t_mat,
+                          _fold(params) if lwa_gff else None, for_backward=False)
     p_slide = cache["p_slide"]
     return cache["p"], SlidePrediction(cache["alpha"], p_slide, int(np.argmax(p_slide)))
 
@@ -337,7 +393,7 @@ def _stacks(slides: list[SlideRecord]) -> list[list[SlideRecord]]:
 
 
 def _forward_stack(
-    stack: list[SlideRecord], params: ModelParams, t_mat: np.ndarray, lwa_gff: bool,
+    stack: list[SlideRecord], params: ModelParams, t_mat: np.ndarray, fold,
     for_backward: bool,
 ) -> dict:
     """_forward_core over a stack's concatenated rows; a slide alone is not
@@ -347,7 +403,7 @@ def _forward_stack(
     else:
         f = np.concatenate([s.matrix() for s in stack])
         coords = np.concatenate([s.coords() for s in stack])
-    return _forward_core(f, coords, params, t_mat, lwa_gff, [s.n_patches for s in stack],
+    return _forward_core(f, coords, params, t_mat, fold, [s.n_patches for s in stack],
                          for_backward)
 
 
@@ -364,9 +420,10 @@ def total_loss(
         raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
     t_mat = _checked_proto_matrix(pset, slides[0].dim)
+    fold = _fold(params) if lwa_gff else None
     total = 0.0
     for stack in _stacks(slides):
-        cache = _forward_stack(stack, params, t_mat, lwa_gff, for_backward=False)
+        cache = _forward_stack(stack, params, t_mat, fold, for_backward=False)
         total += _stack_objective(cache, [s.label for s in stack], lam)[0]
         del cache  # freed before the next stack's forward
     return total / len(slides)
@@ -386,15 +443,19 @@ def grad_total_loss(
         raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
     t_mat = _checked_proto_matrix(pset, slides[0].dim)
+    fold = _fold(params) if lwa_gff else None
+    d_fold = None if fold is None else tuple(np.zeros_like(x) for x in fold)
     grads = grad_zeros(params)
     total = 0.0
     for stack in _stacks(slides):
         labels = [s.label for s in stack]
-        cache = _forward_stack(stack, params, t_mat, lwa_gff, for_backward=True)
+        cache = _forward_stack(stack, params, t_mat, fold, for_backward=True)
         loss, r = _stack_objective(cache, labels, lam)
         total += loss
-        _backward_core(cache, labels, lam, r, params, t_mat, grads)
+        _backward_core(cache, labels, lam, r, params, t_mat, grads, d_fold)
         del cache, r  # freed before the next stack's forward
+    if d_fold is not None:
+        _unfold_grads(params, d_fold, grads)
     grads.theta *= 1.0 / len(slides)
     return total / len(slides), grads
 

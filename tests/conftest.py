@@ -5,9 +5,11 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from fgpan.params import AttentionHeadParams
+from fgpan.aggregation import sinusoidal_embeddings, table_embeddings
+from fgpan.attention import window_attention
 from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
-from fgpan.training import _forward_core
+from fgpan.params import AttentionHeadParams
+from fgpan.training import _fold, _forward_core
 
 # Property tests draw the same examples on every run, keep no example
 # database, and carry no per-example time limit (host speed varies).
@@ -45,6 +47,44 @@ def dense_attention_reference(features, offsets, head):
     return out
 
 
+def refinement_reference(features, coords, params):
+    """h and alpha of one slide by the three-projection form, independent
+    of the library's re-association: each head's output H_l window by
+    window from dense_attention_reference (explicit W_Q, W_K, W_V), the
+    scalar gates gamma_l = sigmoid(H_l . w_g^l + b_g^l), g_sum = sum_l
+    gamma_l H_l, h = W_f g_sum + b_f, and alpha = softmax([h || phi] . w)."""
+    s = params.window_size
+    m, d = features.shape
+    windows = {}
+    for i, (r, c) in enumerate(coords.tolist()):
+        windows.setdefault((r // s, c // s), []).append(i)
+    g_sum = np.zeros((m, d))
+    for head, w_g, b_g in zip(params.lwa.heads, params.gates.w_g, params.gates.b_g):
+        out = np.zeros((m, d))
+        for idx in windows.values():
+            out[idx] = dense_attention_reference(features[idx], coords[idx] % s, head)
+        for i in range(m):
+            gamma = 1.0 / (1.0 + math.exp(-(float(out[i] @ w_g) + b_g)))
+            g_sum[i] += gamma * out[i]
+    h = np.array([params.fusion.W_f @ g + params.fusion.b_f for g in g_sum])
+    if params.agg.positional_mode == "sinusoidal":
+        phi = sinusoidal_embeddings(coords, d)
+    else:
+        phi = table_embeddings(coords, params.agg)
+    u = np.array([float(np.concatenate([h[i], phi[i]]) @ params.agg.w) for i in range(m)])
+    e = np.exp(u - u.max())
+    return h, e / e.sum()
+
+
+def head_attention(f, layout, head):
+    """One head through the kernel the forward pass runs: window_attention
+    over (f M) and f with M = W_Q W_K^T. Returns the (M, d) head output
+    Y W_V and the (n_windows, S^2, S^2) attention weights."""
+    y, a = window_attention(layout.pad(f), f @ (head.W_Q @ head.W_K.T), layout,
+                            head.bias_table)
+    return y @ head.W_V, a
+
+
 def random_head(rng, d, s):
     return AttentionHeadParams(
         rng.standard_normal((d, d)),
@@ -57,13 +97,13 @@ def random_head(rng, d, s):
 def forward_cache(features, coords, params, protos, *, lwa_gff=True):
     """The forward pass every command runs, over plain arrays: (M, d)
     features, (M, 2) grid coordinates and unit-norm (C, d) prototype rows.
-    Returns its cache (gamma, g_sum, h, s, p, alpha, p_slide, ...)."""
+    Returns its cache (y, gamma, z, h, s, p, alpha, p_slide, ...)."""
     return _forward_core(
         np.asarray(features, dtype=np.float64),
         np.asarray(coords, dtype=np.int64),
         params,
         np.asarray(protos, dtype=np.float64),
-        lwa_gff,
+        _fold(params) if lwa_gff else None,
     )
 
 

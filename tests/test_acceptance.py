@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import dense_attention_reference, forward_cache
+from conftest import dense_attention_reference, forward_cache, head_attention
 
 import fgpan as fg
 from fgpan.cli import dispatch, parse_config
@@ -66,9 +66,10 @@ def test_criterion_1_gradient_oracle():
 
 
 def test_criterion_2_attention_oracle():
-    """window_attention, the attention the forward pass runs, equals a
-    brute-force dense reference on >= 100 random windows (k <= S^2, S in
-    {2, 3}, d <= 8) of random slides, to 1e-12 relative error."""
+    """window_attention, the kernel the forward pass runs once per head (on
+    f W_Q W_K^T and f, its output then taken by W_V), equals a brute-force
+    dense reference on >= 100 random windows (k <= S^2, S in {2, 3},
+    d <= 8) of random slides, to 1e-12 relative error."""
     with criterion(2, "attention matches dense reference <= 1e-12 on 100 windows"):
         rng = np.random.default_rng(12345)
         worst = 0.0
@@ -87,7 +88,7 @@ def test_criterion_2_attention_oracle():
             coords = np.array([(int(c) // side, int(c) % side) for c in cells])
             f = rng.standard_normal((len(coords), d))
             layout = fg.partition_coords(coords, s)
-            got, _ = fg.window_attention(f, layout, head)
+            got, _ = head_attention(f, layout, head)
             for w in range(layout.n_windows):
                 idx = np.flatnonzero(layout.window == w)
                 want = dense_attention_reference(f[idx], coords[idx] % s, head)
@@ -121,7 +122,7 @@ def test_criterion_3_normalization_convexity():
             cache = forward_cache(rng.standard_normal((m, d)), coords, params, protos)
 
             mask = cache["layout"].mask
-            for _q, _k, _v, a in cache["attn"]:
+            for a in cache["attn"]:
                 for w, m in enumerate(mask):
                     assert np.all(np.abs(a[w][np.ix_(m, m)].sum(axis=1) - 1.0) <= 1e-12)
                     assert np.all(a[w][:, ~m] == 0.0)

@@ -3,11 +3,19 @@ checked against an independent dense-attention reference."""
 
 import numpy as np
 import pytest
-from conftest import dense_attention_reference, forward_cache, make_pset, make_slide, random_head
+from conftest import (
+    dense_attention_reference,
+    forward_cache,
+    head_attention,
+    make_pset,
+    make_slide,
+    random_head,
+    refinement_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgpan.attention import partition_coords, window_attention
+from fgpan.attention import partition_coords
 from fgpan.params import init_params
 from fgpan.training import (
     _central_difference,
@@ -41,13 +49,13 @@ def expected_windows(coords, s):
 
 def head_outputs(f, coords, heads, s):
     layout = partition_coords(coords, s)
-    return [window_attention(f, layout, head)[0] for head in heads]
+    return [head_attention(f, layout, head)[0] for head in heads]
 
 
 def attention_weights(f, coords, head):
     """The layout and the batched (n_windows, S^2, S^2) attention weights."""
     layout = partition_coords(coords, head.window_size)
-    return layout, window_attention(f, layout, head)[1][3]
+    return layout, head_attention(f, layout, head)[1]
 
 
 def attention_matrices(f, coords, head):
@@ -239,7 +247,31 @@ class TestLwaForward:
         cache = forward_cache(
             rng.standard_normal((3, 4)), [(0, 0), (0, 1), (2, 2)], params, np.eye(4)[:2]
         )
-        np.testing.assert_array_equal(cache["heads_h"][0], cache["heads_h"][1])
+        y = cache["y"]
+        np.testing.assert_array_equal(y[:, :4], y[:, 4:])
+        np.testing.assert_array_equal(cache["gamma"][0], cache["gamma"][1])
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from(["sinusoidal", "learned_table"]),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_three_projection_reference(self, s, pos_mode, patches, seed):
+        """h and alpha of the re-associated forward equal the textbook
+        three-projection form (per-head W_Q, W_K, W_V, scalar gates, g_sum,
+        then W_f) to 1e-12 relative, on random sparse slides with every
+        parameter moved off its init."""
+        slides, _, params = random_instance(
+            seed % 1000, dim=4, window_size=s, heads=2, patches=patches, n_slides=1,
+            grid_rows=6, grid_cols=6, pos_mode=pos_mode, randomize_params=True,
+        )
+        f, coords = slides[0].matrix(), slides[0].coords()
+        cache = forward_cache(f, coords, params, np.eye(4)[:2])
+        want_h, want_alpha = refinement_reference(f, coords, params)
+        for got, want in ((cache["h"], want_h), (cache["alpha"], want_alpha)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def attention_fd_error(slides, params, pset, lam, step=1e-2):

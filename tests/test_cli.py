@@ -525,7 +525,8 @@ class TestPipeline:
     @pytest.mark.parametrize("flag, value, name", [
         ("--lambda-slide", "-1", "lambda_slide"), ("--lambda-slide", "nan", "lambda_slide"),
         ("--lambda-slide", "inf", "lambda_slide"), ("--learning-rate", "nan", "learning_rate"),
-        ("--learning-rate", "inf", "learning_rate"),
+        ("--learning-rate", "inf", "learning_rate"), ("--weight-decay", "-5", "weight_decay"),
+        ("--weight-decay", "nan", "weight_decay"), ("--weight-decay", "inf", "weight_decay"),
     ])
     def test_train_refuses_bad_setting(self, corpus, tmp_path, capsys, flag, value, name):
         ckpt = tmp_path / "model.ckpt"

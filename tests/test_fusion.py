@@ -1,5 +1,6 @@
 """Scalar sigmoid gates and the affine fusion projection, read from the
-forward cache (gamma, g_sum, h)."""
+forward cache: y = [Y_0 | Y_1] (head l's output is Y_l W_V^l), gamma, the
+gated z = [gamma_0 Y_0 | gamma_1 Y_1] and h."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,20 @@ COORDS = [(0, 0), (0, 1), (1, 1), (3, 2), (2, 3)]
 PROTOS = np.eye(4)[:2]
 
 
+def head_outputs(cache, params):
+    """Each head's (M, d) output Y_l W_V^l."""
+    d = params.dim
+    return [cache["y"][:, l * d:(l + 1) * d] @ head.W_V
+            for l, head in enumerate(params.lwa.heads)]
+
+
+def g_sum(cache, params):
+    """The gated sum of head outputs, sum_l gamma_l Y_l W_V^l."""
+    d = params.dim
+    return sum(cache["z"][:, l * d:(l + 1) * d] @ head.W_V
+               for l, head in enumerate(params.lwa.heads))
+
+
 def run(params, seed=0, features=None):
     rng = np.random.default_rng(seed)
     if features is None:
@@ -20,11 +35,13 @@ def run(params, seed=0, features=None):
 
 class TestGate:
     def test_zero_gate_is_half(self):
-        """Fresh gates are zero, so every gamma is 0.5 and G halves each head."""
-        cache = run(init_params(4, 2, 2, seed=0))
+        """Fresh gates are zero, so every gamma is 0.5 and z halves each head."""
+        params = init_params(4, 2, 2, seed=0)
+        cache = run(params)
         np.testing.assert_array_equal(cache["gamma"], 0.5)
-        h0, h1 = cache["heads_h"]
-        np.testing.assert_allclose(cache["g_sum"], 0.5 * h0 + 0.5 * h1, rtol=1e-15)
+        np.testing.assert_array_equal(cache["z"], 0.5 * cache["y"])
+        h0, h1 = head_outputs(cache, params)
+        np.testing.assert_allclose(g_sum(cache, params), 0.5 * h0 + 0.5 * h1, rtol=1e-14)
 
     def test_sigmoid_of_two(self):
         params = init_params(4, 2, 2, seed=1)
@@ -36,8 +53,9 @@ class TestGate:
         params.gates.b_g[:] = 20.0
         cache = run(params)
         assert np.all(np.abs(cache["gamma"] - 1.0) < 1e-8)
-        h0, h1 = cache["heads_h"]
-        np.testing.assert_allclose(cache["g_sum"], h0 + h1, rtol=1e-8)
+        np.testing.assert_allclose(cache["z"], cache["y"], rtol=1e-8)
+        h0, h1 = head_outputs(cache, params)
+        np.testing.assert_allclose(g_sum(cache, params), h0 + h1, rtol=1e-8)
 
     def test_gamma_strictly_open_interval(self):
         """Strict bounds hold on the float64-representable pre-saturation range."""
@@ -72,9 +90,10 @@ class TestGate:
 class TestFusion:
     def test_identity_projection_single_head(self):
         """With one head, W_f = I and b_f = 0, H equals the gated head output."""
-        cache = run(init_params(4, 2, 1, seed=4))
-        np.testing.assert_array_equal(cache["h"], cache["g_sum"])
-        np.testing.assert_array_equal(cache["g_sum"], 0.5 * cache["heads_h"][0])
+        params = init_params(4, 2, 1, seed=4)
+        cache = run(params)
+        np.testing.assert_array_equal(cache["z"], 0.5 * cache["y"])
+        np.testing.assert_array_equal(cache["h"], g_sum(cache, params))
 
     def test_two_equal_heads_double(self):
         """Two equal heads at gamma = 0.5 sum to one full head output."""
@@ -82,7 +101,7 @@ class TestFusion:
         h0, h1 = params.lwa.heads
         h1.W_Q, h1.W_K, h1.W_V, h1.bias_table = h0.W_Q, h0.W_K, h0.W_V, h0.bias_table
         cache = run(params)
-        np.testing.assert_array_equal(cache["h"], cache["heads_h"][0])
+        np.testing.assert_allclose(cache["h"], head_outputs(cache, params)[0], rtol=1e-14)
 
     def test_zero_inputs_give_offset(self):
         """Zero features give zero head outputs, so H is b_f on every patch."""
@@ -98,7 +117,7 @@ class TestFusion:
         params.fusion.W_f = rng.standard_normal((4, 4))
         params.fusion.b_f[:] = rng.standard_normal(4)
         cache = run(params)
-        for h, g in zip(cache["h"], cache["g_sum"]):
+        for h, g in zip(cache["h"], g_sum(cache, params)):
             np.testing.assert_allclose(h - params.fusion.b_f, params.fusion.W_f @ g, atol=1e-12)
 
     def test_dim_mismatch(self):

@@ -346,6 +346,51 @@ class TestStacks:
             assert np.abs(got - mean).max() <= 1e-12 * scale, name
 
 
+class TestWsiScaleOracle:
+    def test_directional_derivatives_at_wsi_shape(self):
+        """The 1e-5 contract at the wsi-train shape: two 2048-row, d=256
+        slides of a 64 x 64 grid, S=4, two heads, learned table, and
+        theta = init + 0.02 N(0, 1) so the gates and aggregation carry
+        gradient. Per-scalar differences would take hours here, so the
+        check is directional: grads.theta . v against central differences
+        of the loss along v at steps 1e-2 and 5e-3, Richardson-
+        extrapolated, for one random unit direction within each leaf (so
+        that log_tau and b_g are not drowned out by the table) and one over
+        the whole of theta."""
+        slides, pset = gen_synthetic(SyntheticConfig(
+            classes=2, slides_per_class=1, patches_per_slide=2048, dim=256,
+            grid_rows=64, grid_cols=64, seed=5,
+        ))
+        pset = make_pset([p.embedding / np.linalg.norm(p.embedding) for p in pset.prototypes])
+        params = init_params(256, 4, 2, grid_rows=64, grid_cols=64, seed=0,
+                             pos_mode="learned_table")
+        rng = np.random.default_rng(0)
+        base = params.flatten() + 0.02 * rng.standard_normal(params.n_scalars)
+        params = params.with_flat(base)
+        _, grads = grad_total_loss(slides, params, pset, 1.0)
+
+        directions = {}
+        pos = 0
+        for name, arr in params.leaves():
+            v = np.zeros(params.n_scalars)
+            v[pos:pos + arr.size] = rng.standard_normal(arr.size)
+            directions[name] = v
+            pos += arr.size
+        directions["theta"] = rng.standard_normal(params.n_scalars)
+
+        def slope(v, h):
+            hi = total_loss(slides, params.with_flat(base + h * v), pset, 1.0)
+            lo = total_loss(slides, params.with_flat(base - h * v), pset, 1.0)
+            return (hi - lo) / (2.0 * h)
+
+        for name, v in directions.items():
+            v /= np.linalg.norm(v)
+            analytic = float(grads.theta @ v)
+            numeric = (4.0 * slope(v, 5e-3) - slope(v, 1e-2)) / 3.0
+            rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            assert rel <= 1e-5, (name, analytic, numeric, rel)
+
+
 def _traced_peak(fn) -> int:
     """Bytes fn allocates at its peak, over what was allocated before."""
     gc.collect()
@@ -565,17 +610,27 @@ class TestTrain:
     @pytest.mark.parametrize("name, value", [
         ("lambda_slide", -1.0), ("lambda_slide", math.nan), ("lambda_slide", math.inf),
         ("learning_rate", -1e-3), ("learning_rate", math.nan), ("learning_rate", -math.inf),
+        ("weight_decay", -5.0), ("weight_decay", math.nan), ("weight_decay", math.inf),
     ])
     def test_bad_setting_refused_by_name(self, name, value):
         """Before any step: a negative lambda_slide trains against the label,
-        and a NaN would surface only as a non-finite parameter leaf."""
+        a negative weight_decay grows every decayed leaf, and a NaN would
+        surface only as a non-finite parameter leaf."""
         want = f"{name} must be finite and non-negative, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
+    def test_bad_epsilon_refused_by_name(self, value):
+        """AdamW divides by sqrt(v_hat) + epsilon, and v_hat is 0 wherever
+        a leaf has had no gradient yet: epsilon must be positive."""
+        want = f"epsilon must be finite and positive, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            TrainConfig(epsilon=value)
+
     def test_zero_settings_accepted(self):
-        cfg = TrainConfig(learning_rate=0.0, lambda_slide=0.0)
-        assert (cfg.learning_rate, cfg.lambda_slide) == (0.0, 0.0)
+        cfg = TrainConfig(learning_rate=0.0, lambda_slide=0.0, weight_decay=0.0)
+        assert (cfg.learning_rate, cfg.lambda_slide, cfg.weight_decay) == (0.0, 0.0, 0.0)
 
     def test_profiles(self):
         desk = desk_profile()
