@@ -234,12 +234,18 @@ def _require(cfg: RunConfig, *names: str) -> None:
 def _load_slides(data_dir: str, *extra: tuple) -> tuple[list, list]:
     """The slides under data_dir in sorted path order, read in one batch
     with the extra reads (fgpan.rowtext.read_files), whose results are
-    returned as callables that give each one or raise its error."""
+    returned as callables that give each one or raise its error. Two files
+    that declare one slide_id are refused by name."""
     paths = sorted(glob.glob(os.path.join(data_dir, "*.slide")))
     if not paths:
         raise ValueError(f"no *.slide files found in {data_dir}")
     results = read_files([("slide", partial(load_slide, p)) for p in paths] + list(extra))
-    return [result() for result in results[: len(paths)]], results[len(paths) :]
+    slides, owners = [result() for result in results[: len(paths)]], {}
+    for path, s in zip(paths, slides):
+        owner = owners.setdefault(s.slide_id, path)
+        if owner != path:
+            raise ValueError(f"{owner} and {path} both declare slide_id {s.slide_id!r}")
+    return slides, results[len(paths) :]
 
 
 def _apply_selection(cfg: RunConfig, slides):

@@ -16,10 +16,11 @@ Prototype file format: one JSON object per line,
 Floats are written with the shortest round-trip decimal representation so
 identical records serialize to identical bytes; a large slide's text is
 formatted on every CPU the process may use (fgpan.rowtext), to the same
-bytes, and a large batch of slide files is read there too. A slide body is
-read back in one np.loadtxt call; the token parser _parse_decimals, which
-checkpoint files share, reads any body np.loadtxt does not take and names
-its fault.
+bytes, and a large batch of slide files is read there too. A slide file is
+read in one pass, one np.loadtxt call per block of _PARSE_ROWS body lines;
+only a block it refuses goes to _parse_decimals (shared with checkpoints),
+which reads each token as float() or int() does or names the bad one, so
+at most one block's tokens are alive at a time.
 """
 
 import json
@@ -27,7 +28,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -281,8 +282,11 @@ class SyntheticConfig:
             raise ValueError("patches_per_slide must be positive")
         if not 0.0 < self.signal_fraction <= 1.0:
             raise ValueError("signal_fraction must lie in (0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        for name in ("grid_rows", "grid_cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.patches_per_slide > self.grid_rows * self.grid_cols:
             raise ValueError("patches_per_slide exceeds grid capacity")
         if self.orthogonal_prototypes and self.dim < self.classes:
@@ -328,68 +332,64 @@ def _slide_header(line: str, path) -> list:
     )
 
 
-def _bulk_body(fh, d: int, m: int):
-    """The rest of an open slide file as an (M,) structured array of int64
-    "rc" coordinate pairs and float64 "f" feature rows, in one np.loadtxt
-    call; None when np.loadtxt does not read it as exactly M rows or warns.
-
-    Each line is split again by str.splitlines, as the token parser splits
-    the text, so a vertical tab, form feed or U+2028 breaks a row for both.
-    """
-    lines = chain.from_iterable(map(str.splitlines, fh))
+def _slide_block(block: list, d: int, path) -> tuple:
+    """coords (n, 2) int64 and features (n, d) float64 of a block of n
+    non-blank body lines: one np.loadtxt call, or, for a block it does not
+    read as exactly n rows without a warning, each line's tokens as int()
+    and float() read them. A ragged row or a bad token raises a ValueError
+    naming the file."""
+    row = np.dtype([("rc", np.int64, (2,)), ("f", np.float64, (d,))])
     try:
-        row = np.dtype([("rc", np.int64, (2,)), ("f", np.float64, (d,))])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            table = np.loadtxt(lines, dtype=row, comments=None, ndmin=1)
+            table = np.loadtxt(block, dtype=row, comments=None, ndmin=1)
+        if not caught and table.shape == (len(block),):
+            return np.ascontiguousarray(table["rc"]), np.ascontiguousarray(table["f"])
     except ValueError:
-        return None
-    return None if caught or table.shape != (m,) else table
-
-
-def _load_slide_tokens(path) -> SlideRecord:
-    """load_slide by splitting the whole text into tokens: slower, and
-    names the first fault of a file np.loadtxt does not read."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty slide file")
-    slide_id, label, d, m, grid_rows, grid_cols = _slide_header(lines[0], path)
-    body = list(filter(str.strip, lines[1:]))  # blank lines dropped
-    if len(body) != m:
-        raise ValueError(f"{path}: header declares M={m} but file has {len(body)} patch rows")
-    coords = np.empty((m, 2), dtype=np.int64)
-    features = np.empty((m, d))
-    for start in range(0, m, _PARSE_ROWS):
-        rows = list(map(str.split, body[start : start + _PARSE_ROWS]))
-        ragged = set(map(len, rows)) - {2 + d}
-        if ragged:
-            raise ValueError(f"{path}: row has {min(ragged) - 2} values, header declares d={d}")
-        block = slice(start, start + len(rows))
-        coords[block] = _parse_decimals(list(map(itemgetter(0, 1), rows)), str(path), np.int64)
-        features[block] = _parse_decimals(list(map(itemgetter(slice(2, None)), rows)), str(path))
-    return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
+        pass
+    rows = list(map(str.split, block))
+    ragged = set(map(len, rows)) - {2 + d}
+    if ragged:
+        raise ValueError(f"{path}: row has {min(ragged) - 2} values, header declares d={d}")
+    return (_parse_decimals(list(map(itemgetter(0, 1), rows)), str(path), np.int64),
+            _parse_decimals(list(map(itemgetter(slice(2, None)), rows)), str(path)))
 
 
 def load_slide(path) -> SlideRecord:
-    """Read a slide file, preserving patch order.
+    """Read a slide file in one pass, preserving patch order.
 
-    The body is parsed in one np.loadtxt call, line by line from the open
-    file. A body it does not read as exactly M rows (a bad token, a ragged,
-    short or empty body) is read again by _load_slide_tokens, whose error
-    names the fault.
+    Lines are split as str.splitlines splits them and blank ones dropped.
+    The body goes through _slide_block in blocks of _PARSE_ROWS lines, so
+    only one block's text and tokens are alive at a time. A wrong row count
+    is named before the first bad block's fault; once either is found, the
+    rest of the file is only counted.
     """
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline().splitlines()
-        if len(first) == 1:
-            slide_id, label, d, m, grid_rows, grid_cols = _slide_header(first[0], path)
-            table = _bulk_body(fh, d, m)
-            if table is not None:
-                coords = np.ascontiguousarray(table["rc"])
-                features = np.ascontiguousarray(table["f"])
-                del table  # freed before validation allocates
-                return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
-    return _load_slide_tokens(path)
+        lines = chain.from_iterable(map(str.splitlines, fh))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty slide file")
+        slide_id, label, d, m, grid_rows, grid_cols = _slide_header(first, path)
+        body = filter(str.strip, lines)
+        # each column starts empty, so an empty body still concatenates
+        coords, features = [np.empty((0, 2), np.int64)], [np.empty((0, d))]
+        n, fault = 0, None
+        while block := list(islice(body, _PARSE_ROWS)):
+            n += len(block)
+            if fault is None and n <= m:
+                try:
+                    rc, f = _slide_block(block, d, path)
+                except ValueError as exc:
+                    fault = exc
+                else:
+                    coords.append(rc)
+                    features.append(f)
+    if n != m:
+        raise ValueError(f"{path}: header declares M={m} but file has {n} patch rows")
+    if fault is not None:
+        raise fault
+    return SlideRecord(slide_id, label, np.concatenate(coords), np.concatenate(features),
+                       grid_rows, grid_cols)
 
 
 def _slide_fields(rec: SlideRecord) -> dict:

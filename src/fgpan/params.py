@@ -14,7 +14,10 @@ views, so the optimizer works on two flat vectors.
 Checkpoint format (UTF-8, LF): line 1 is a JSON header with the format
 version and model dims; each following line is "<leaf-name> v1 v2 ..." with
 the leaf's values flattened row-major in canonical decimal text, one line
-per leaf in schema order.
+per leaf in schema order. load_checkpoint reads a file in one pass, each
+leaf line in pieces of _PIECE_CHARS characters: np.fromstring parses a
+piece, and _parse_decimals only a piece it refuses, so at most one piece's
+tokens are alive at a time.
 """
 
 import functools
@@ -389,7 +392,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def _fast_decimals(text: str) -> np.ndarray | None:
     """The values of a piece of a checkpoint line, parsed by one
     np.fromstring call, which builds no string per value. None where that
-    call might not read them as the token parser does: text it does not
+    call might not read them as _parse_decimals does: text it does not
     read to its end, blank text (which it reads as [-1.0]), or a non-finite
     value, since it takes tokens such as nan(1) that float() refuses."""
     if not text or text.isspace():
@@ -430,78 +433,28 @@ def _checkpoint_zeros(line: str, path, expects: dict) -> ModelParams:
 
 
 _PIECE_CHARS = 1 << 20  # characters of a leaf line read and parsed at a time
-# what np.fromstring(text, sep=" ") skips as whitespace (str.isspace takes more)
-_FROMSTRING_SPACE = " \t\n\v\f\r"
 
 
-def _fast_line(fh, out: np.ndarray) -> bool:
-    """Fill the flat vector out from the rest of the current line of fh,
-    read in pieces of _PIECE_CHARS characters, so the line's text never sits
-    in memory whole. Each piece's values are parsed by _fast_decimals; a
-    value cut at the end of a piece is carried into the next. False where
-    the whole line would not be read so: a piece _fast_decimals refuses,
-    or a count other than out.size (a blank line has none)."""
-    filled, carry, end = 0, "", False
-    while not end:
-        piece = fh.readline(_PIECE_CHARS)
-        text = carry + piece
-        end = piece.endswith("\n") or len(piece) < _PIECE_CHARS  # line or file ended
+def _line_pieces(fh):
+    """The next line of fh, read _PIECE_CHARS characters at a time so that
+    its text never sits in memory whole: first the text before its first
+    space (the leaf name), then the rest in pieces, none blank, each cut
+    after its last space (a value cut there is carried into the next).
+    Nothing at the end of the file."""
+    carry, name = "", None
+    while True:
+        text = fh.readline(_PIECE_CHARS)
+        end = text.endswith("\n") or len(text) < _PIECE_CHARS  # line or file ended
+        text = carry + text
         cut = len(text) if end else text.rfind(" ") + 1  # after the last whole value
         text, carry = text[:cut], text[cut:]
-        if not text.strip(_FROMSTRING_SPACE):  # whitespace only: a separator, no values
-            continue
-        vals = _fast_decimals(text)
-        if vals is None or filled + vals.size > out.size:
-            return False
-        out[filled : filled + vals.size] = vals
-        filled += vals.size
-    return filled == out.size
-
-
-def _fast_leaves(fh, params: ModelParams) -> bool:
-    """Fill params from the rest of an open checkpoint whose leaves come one
-    per line in schema order, each line's values read by _fast_line, with
-    nothing but blank lines after the last leaf; False at the first line
-    that is not so."""
-    for name, leaf in params.leaves():
-        if fh.readline(len(name) + 1) != name + " " or not _fast_line(fh, leaf.reshape(-1)):
-            return False
-    return all(ln.isspace() for ln in fh)
-
-
-def _load_checkpoint_tokens(path, expects: dict) -> ModelParams:
-    """load_checkpoint by splitting each line into tokens: slower, and names
-    the first fault of a file _fast_leaves does not read."""
-    with open(path, encoding="utf-8") as fh:
-        lines = (ln for ln in fh if ln.strip())
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: empty checkpoint")
-        params = _checkpoint_zeros(first, path, expects)
-        seen = set()
-        for ln in lines:
-            name, _, rest = ln.partition(" ")
-            try:
-                leaf = params[name]
-            except KeyError:
-                raise ValueError(f"{path}: unexpected checkpoint leaf {name!r}") from None
-            if name in seen:
-                raise ValueError(f"{path}: duplicate checkpoint leaf {name!r}")
-            seen.add(name)
-            vals = _parse_decimals(rest.split(), f"{path}: leaf {name!r}")
-            if vals.size != leaf.size:
-                raise ValueError(
-                    f"{path}: leaf {name!r} has {vals.size} values, expected {leaf.shape}"
-                )
-            leaf.reshape(-1)[:] = vals
-    missing = [name for name, _ in params.leaves() if name not in seen]
-    if missing:
-        raise ValueError(f"{path}: checkpoint missing leaves {sorted(missing)}")
-    try:
-        # rebuilt over the filled theta (no copy) for the finiteness check
-        return ModelParams(params.theta, **params.dims)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        if name is None and text:
+            name, _, text = text.partition(" ")
+            yield name
+        if text and not text.isspace():
+            yield text
+        if end:
+            return
 
 
 def load_checkpoint(
@@ -511,24 +464,62 @@ def load_checkpoint(
     expect_window_size: int | None = None,
     expect_heads: int | None = None,
 ) -> ModelParams:
-    """Read a checkpoint, optionally enforcing the run's model dims.
+    """Read a checkpoint in one pass, optionally enforcing the run's model
+    dims.
 
-    A file as save_checkpoint writes it (the header on line 1, then one
-    line per leaf in schema order) is read by _fast_leaves, each leaf
-    parsed into its slice of a preallocated theta by np.fromstring calls
-    over pieces of its line. Any other file is read again by the token
-    parser, which skips blank lines and takes the leaves in any order; an
-    unknown, duplicate, missing, miscounted or non-finite leaf raises a
-    ValueError naming the file and the leaf.
+    Blank lines are skipped; the first other line is the header, and each
+    line after it is "<leaf-name> v1 v2 ...", leaves in any order. A leaf
+    line is read in pieces (_line_pieces) into its slice of a preallocated
+    theta: each piece's values are parsed by _fast_decimals, and only a
+    piece it refuses by _parse_decimals, which reads what float() reads or
+    names the bad token, so at most one piece's tokens are alive at a time.
+    Values past the leaf's size are only counted. An unknown, duplicate,
+    missing, miscounted or non-finite leaf raises a ValueError naming the
+    file and the leaf.
     """
     expects = dict(dim=expect_dim, window_size=expect_window_size, heads=expect_heads)
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
-        if first and not first.isspace():
-            params = _checkpoint_zeros(first, path, expects)
-            if _fast_leaves(fh, params):
-                return params
-    return _load_checkpoint_tokens(path, expects)
+        while first.isspace():
+            first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty checkpoint")
+        params = _checkpoint_zeros(first, path, expects)
+        seen = set()
+        while True:
+            pieces = _line_pieces(fh)
+            name = next(pieces, None)
+            if name is None:
+                break
+            if not name.strip() and next(pieces, None) is None:
+                continue  # a blank line
+            try:
+                view = params[name]
+            except KeyError:
+                raise ValueError(f"{path}: unexpected checkpoint leaf {name!r}") from None
+            if name in seen:
+                raise ValueError(f"{path}: duplicate checkpoint leaf {name!r}")
+            seen.add(name)
+            leaf, filled = view.reshape(-1), 0
+            for text in pieces:
+                vals = _fast_decimals(text)
+                if vals is None:
+                    vals = _parse_decimals(text.split(), f"{path}: leaf {name!r}")
+                if filled + vals.size <= leaf.size:  # past it, only counted
+                    leaf[filled : filled + vals.size] = vals
+                filled += vals.size
+            if filled != leaf.size:
+                raise ValueError(
+                    f"{path}: leaf {name!r} has {filled} values, expected {view.shape}"
+                )
+    missing = [name for name, _ in params.leaves() if name not in seen]
+    if missing:
+        raise ValueError(f"{path}: checkpoint missing leaves {sorted(missing)}")
+    try:
+        # rebuilt over the filled theta (no copy) for the finiteness check
+        return ModelParams(params.theta, **params.dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 reader("checkpoint", load_checkpoint, lambda p: dict(theta=p.theta, **p.dims), ModelParams)

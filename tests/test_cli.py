@@ -292,6 +292,19 @@ class TestGen:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--noise-sigma", "nan"], "noise_sigma must be finite and non-negative, got nan"),
+        (["--grid-rows", "-2", "--grid-cols", "-40", "--patches-per-slide", "4"],
+         "grid_rows must be positive, got -2"),
+    ], ids=["sigma-nan", "negative-grid"])
+    def test_bad_generator_setting_named(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "corpus"
+        code, _, err = run(["gen", "--out", str(out)] + flags, capsys)
+        assert code == 1
+        assert err == f"error (gen): {name}\n"
+        assert not out.exists()
+
+
 class TestPipeline:
     @pytest.fixture()
     def corpus(self, tmp_path, capsys):
@@ -539,6 +552,28 @@ class TestPipeline:
         assert err == (f"error (train): {name} must be finite and non-negative, "
                        f"got {float(value)!r}\n")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_two_files_with_one_slide_id_refused(self, corpus, tmp_path, capsys, command):
+        """Two slide files that declare one slide_id are refused, naming
+        both, before infer writes predictions or eval reads them."""
+        preds = tmp_path / "p.jsonl"
+        if command == "eval":
+            self.write_predictions(corpus, preds)
+        first = sorted(corpus.glob("*.slide"))[0]
+        copy = corpus / "zz_copy.slide"
+        copy.write_bytes(first.read_bytes())
+        before = preds.read_bytes() if preds.exists() else None
+        argv = {
+            "infer": ["infer", "--data", str(corpus), "--prototypes",
+                      str(corpus / "prototypes.jsonl"), "--dim", "8", "--out", str(preds)],
+            "eval": ["eval", "--data", str(corpus), "--predictions", str(preds)],
+        }[command]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        sid = load_slide(first).slide_id
+        assert err == f"error ({command}): {first} and {copy} both declare slide_id {sid!r}\n"
+        assert (preds.read_bytes() if preds.exists() else None) == before
 
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)

@@ -1,9 +1,13 @@
 """Value types, file round-trips, and the synthetic generator."""
 
+import builtins
 import json
+import math
 import os
+import re
 import tempfile
-from unittest import mock
+import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ from conftest import ADVERSARIAL
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgpan.data
 from fgpan.data import (
     ClassPrototype,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,
-    _load_slide_tokens,
+    _parse_decimals,
+    _slide_header,
     coarse_prototypes,
     gen_synthetic,
     load_prototypes,
@@ -232,15 +238,57 @@ def _token_text(value, data):
 NOT_INT = "invalid literal for int() with base 10: "
 
 
+def _token_reading(path) -> SlideRecord:
+    """The reference reading of a slide file: its whole text split into
+    lines by str.splitlines, blank ones dropped, a wrong row count named
+    first, then each block of _PARSE_ROWS rows split into tokens (a ragged
+    row named before a bad token) and parsed by _parse_decimals."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty slide file")
+    slide_id, label, d, m, grid_rows, grid_cols = _slide_header(lines[0], path)
+    body = list(filter(str.strip, lines[1:]))
+    if len(body) != m:
+        raise ValueError(f"{path}: header declares M={m} but file has {len(body)} patch rows")
+    coords = np.empty((m, 2), dtype=np.int64)
+    features = np.empty((m, d))
+    block_rows = fgpan.data._PARSE_ROWS
+    for start in range(0, m, block_rows):
+        rows = list(map(str.split, body[start : start + block_rows]))
+        ragged = set(map(len, rows)) - {2 + d}
+        if ragged:
+            raise ValueError(f"{path}: row has {min(ragged) - 2} values, header declares d={d}")
+        block = slice(start, start + len(rows))
+        coords[block] = _parse_decimals(list(map(itemgetter(0, 1), rows)), str(path), np.int64)
+        features[block] = _parse_decimals(list(map(itemgetter(slice(2, None)), rows)), str(path))
+    return SlideRecord(slide_id, label, coords, features, grid_rows, grid_cols)
+
+
+def _outcome(load, path):
+    """What load gives for path: the record's column bytes, or the error."""
+    try:
+        s = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return s.slide_id, s.label, s.coords().tobytes(), s.matrix().tobytes()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("_parse_decimals called")
+
+
 @pytest.mark.filterwarnings("error")
 class TestBulkLoader:
-    """load_slide parses a body in one np.loadtxt call and falls back to the
-    token parser (_load_slide_tokens) for anything else: both read the same
-    values, and a bad body gets the token parser's error, word for word."""
+    """load_slide reads a body in blocks of _PARSE_ROWS lines, one
+    np.loadtxt call each, and sends only a block np.loadtxt refuses to
+    _parse_decimals: every file reads as the whole-file token reading
+    (_token_reading) reads it, and a bad body gets its error, word for
+    word."""
 
     @settings(max_examples=60)
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.data())
-    def test_valid_body_reads_as_the_token_parser_does(self, rows, cols, d, data):
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_valid_body_reads_as_the_token_parser_does(self, rows, cols, d, block_rows, data):
         cells = data.draw(
             st.lists(st.integers(0, rows * cols - 1), min_size=1, max_size=rows * cols,
                      unique=True)
@@ -268,18 +316,39 @@ class TestBulkLoader:
                 line += data.draw(gap) + token
             lines.append(data.draw(edge) + line + data.draw(edge))
         lines += data.draw(blank)
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             path = os.path.join(tmp, "a.slide")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
-            expected = _load_slide_tokens(path)
-            # the bulk path reads every valid body itself
-            with mock.patch("fgpan.data._load_slide_tokens", side_effect=AssertionError):
-                back = load_slide(path)
+            mp.setattr(fgpan.data, "_PARSE_ROWS", block_rows)
+            expected = _token_reading(path)
+            # np.loadtxt reads every block of a valid body itself
+            mp.setattr(fgpan.data, "_parse_decimals", _refuse)
+            back = load_slide(path)
         assert back.coords().tobytes() == expected.coords().tobytes()
         assert back.matrix().tobytes() == expected.matrix().tobytes()
         assert back.matrix().flags.c_contiguous and back.coords().flags.c_contiguous
         assert back == expected
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "0.5", "-2.5", "1_0", "x", "nan",
+                                           "1e999", "+1", "٣"]),
+                          min_size=1, max_size=5), max_size=6),
+        st.integers(0, 7), st.integers(1, 3), st.sampled_from(["\n", "\n\n", "\v", " \n"]),
+    )
+    def test_any_body_loads_as_the_token_parser_does(self, rows, m, block_rows, end):
+        """Any body (bad tokens, ragged or blank rows, a wrong count, line
+        breaks str.splitlines alone takes) gives the record or the error
+        of the token reading, whatever the block size."""
+        header = dict(json.loads(HEADER), M=m, grid_rows=4, grid_cols=4)
+        text = json.dumps(header) + "\n" + "".join(" ".join(row) + end for row in rows)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "a.slide")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            mp.setattr(fgpan.data, "_PARSE_ROWS", block_rows)
+            assert _outcome(load_slide, path) == _outcome(_token_reading, path)
 
     @pytest.mark.parametrize(
         "body, match",
@@ -301,19 +370,55 @@ class TestBulkLoader:
         path = tmp_path / "bad.slide"
         path.write_text(HEADER + "\n" + body)
         with pytest.raises(ValueError) as expected:
-            _load_slide_tokens(path)
+            _token_reading(path)
         with pytest.raises(ValueError) as got:
             load_slide(path)
         assert str(got.value) == str(expected.value)
         assert match in str(got.value)
 
     def test_underscore_digits_load_through_the_fallback(self, tmp_path):
-        """float() reads 1_0 as 10.0, np.loadtxt refuses it: the token parser
-        reads the file."""
+        """float() reads 1_0 as 10.0, np.loadtxt refuses it: _parse_decimals
+        reads that block."""
         path = tmp_path / "u.slide"
         path.write_text(HEADER + "\n0 0 1_0 2.0 3.0\n0 1 4.0 5.0 6.0\n")
         s = load_slide(path)
         assert s.matrix().tolist() == [[10.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("last", [None, "oops", "1_0"])
+    def test_opens_the_file_once(self, tmp_path, monkeypatch, last):
+        path = tmp_path / "s.slide"
+        save_slide(make_slide(), path)
+        if last is not None:
+            text = path.read_text()
+            path.write_text(text[: text.rstrip("\n").rfind(" ") + 1] + last + "\n")
+        calls, real = [], builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *a, **k: calls.append(a) or real(*a, **k))
+        _outcome(load_slide, path)
+        assert len(calls) == 1
+
+    def test_refused_last_value_peak_memory(self, tmp_path):
+        """A 2048 x 256 slide (4 MB as features) whose last value is bad
+        raises the token error within 16 MB of traced memory; reading the
+        whole file again as tokens peaked at 24 MB."""
+        rng = np.random.default_rng(0)
+        cells = rng.choice(64 * 64, size=2048, replace=False)
+        s = SlideRecord("wsi", 0, np.stack(np.divmod(cells, 64), axis=1),
+                        rng.standard_normal((2048, 256)), 64, 64)
+        path = tmp_path / "wsi.slide"
+        save_slide(s, path)
+        text = path.read_text()
+        path.write_text(text[: text.rstrip("\n").rfind(" ") + 1] + "oops\n")
+        del text
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError) as got:
+                load_slide(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == f"{path}: could not convert string to float: 'oops'"
+        assert peak < 16 << 20, peak
 
 
 class TestPrototypeFiles:
@@ -465,6 +570,21 @@ class TestSyntheticGenerator:
             sig = s.coords()[:4]
             assert sig[:, 0].max() - sig[:, 0].min() <= 1
             assert sig[:, 1].max() - sig[:, 1].min() <= 1
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(noise_sigma=math.nan), "noise_sigma must be finite and non-negative, got nan"),
+        (dict(noise_sigma=math.inf), "noise_sigma must be finite and non-negative, got inf"),
+        (dict(noise_sigma=-0.5), "noise_sigma must be finite and non-negative, got -0.5"),
+        (dict(grid_rows=0), "grid_rows must be positive, got 0"),
+        (dict(grid_rows=-2, grid_cols=-40), "grid_rows must be positive, got -2"),
+        (dict(grid_cols=-40), "grid_cols must be positive, got -40"),
+    ], ids=["sigma-nan", "sigma-inf", "sigma-negative", "rows-0", "both-negative", "cols-negative"])
+    def test_config_refuses_bad_field_by_name(self, bad, match):
+        """Refused before the generator runs: a NaN sigma would fail as a
+        non-finite slide, and two negative grid dims pass the capacity
+        check, their product being positive."""
+        with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+            SyntheticConfig(classes=2, slides_per_class=1, patches_per_slide=4, dim=4, **bad)
 
     def test_config_invariants(self):
         with pytest.raises(ValueError, match="grid capacity"):

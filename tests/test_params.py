@@ -1,5 +1,6 @@
 """The parameter schema, initialization, flat ordering, and checkpoint IO."""
 
+import builtins
 import operator
 import os
 import re
@@ -17,6 +18,8 @@ import fgpan.params
 from fgpan.data import _parse_decimals
 from fgpan.params import (
     AttentionHeadParams,
+    ModelParams,
+    _checkpoint_zeros,
     _fast_decimals,
     _schema,
     init_params,
@@ -344,6 +347,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("_parse_decimals called")
+
+
 class TestCheckpointFastPath:
     @settings(max_examples=200)
     @given(st.lists(st.one_of(st.sampled_from(ADVERSARIAL),
@@ -378,11 +385,7 @@ class TestCheckpointFastPath:
         p = init_params(8, 3, 2, seed=5, pos_mode="learned_table", grid_rows=4, grid_cols=5)
         path = tmp_path / "ckpt.txt"
         save_checkpoint(p, path)
-
-        def refuse(*args):
-            raise AssertionError("token parser called")
-
-        monkeypatch.setattr(fgpan.params, "_load_checkpoint_tokens", refuse)
+        monkeypatch.setattr(fgpan.params, "_parse_decimals", _refuse)
         assert load_checkpoint(path).flatten().tobytes() == p.flatten().tobytes()
 
     @pytest.mark.parametrize("token", ["nan(1)", "-nan(0x7)", "inf(2)"])
@@ -403,18 +406,47 @@ class TestCheckpointFastPath:
             load_checkpoint(path)
 
 
-def _load_outcome(path):
-    """What load_checkpoint gives for path: the bytes of theta or the error,
-    and whether the token parser read it."""
-    tokens = fgpan.params._load_checkpoint_tokens
-    used = []
-    fgpan.params._load_checkpoint_tokens = lambda *a: used.append(1) or tokens(*a)
+def _token_reading(path) -> ModelParams:
+    """The reference reading of a checkpoint: each line whole, blank lines
+    skipped, the first other line the header, then each line's leaf name
+    and its tokens parsed by _parse_decimals, leaves in any order."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (ln for ln in fh if ln.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty checkpoint")
+        params = _checkpoint_zeros(first, path, {})
+        seen = set()
+        for ln in lines:
+            name, _, rest = ln.partition(" ")
+            try:
+                leaf = params[name]
+            except KeyError:
+                raise ValueError(f"{path}: unexpected checkpoint leaf {name!r}") from None
+            if name in seen:
+                raise ValueError(f"{path}: duplicate checkpoint leaf {name!r}")
+            seen.add(name)
+            vals = _parse_decimals(rest.split(), f"{path}: leaf {name!r}")
+            if vals.size != leaf.size:
+                raise ValueError(
+                    f"{path}: leaf {name!r} has {vals.size} values, expected {leaf.shape}"
+                )
+            leaf.reshape(-1)[:] = vals
+    missing = [name for name, _ in params.leaves() if name not in seen]
+    if missing:
+        raise ValueError(f"{path}: checkpoint missing leaves {sorted(missing)}")
     try:
-        return load_checkpoint(path).theta.tobytes(), bool(used)
+        return ModelParams(params.theta, **params.dims)
     except ValueError as exc:
-        return str(exc), bool(used)
-    finally:
-        fgpan.params._load_checkpoint_tokens = tokens
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_outcome(load, path):
+    """What load gives for path: the bytes of theta, or the error."""
+    try:
+        return load(path).theta.tobytes()
+    except ValueError as exc:
+        return str(exc)
 
 
 # tokens and separators of leaf text, valid or not
@@ -423,10 +455,41 @@ _TOKENS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
 _SEPARATORS = st.sampled_from([" ", "  ", "\t", " \x0b ", "\x1c", "\u2028", " \x85 ", "\n"])
 
 
+def _wsi_checkpoint(tmp_path, last=None):
+    """A wsi-shape checkpoint (d=256, S=4, 2 heads, a 64 x 64 learned
+    table: 1.51M values, 12 MB as theta and 32 MB as text) of standard
+    normal values, its last agg.table value replaced by the token last."""
+    p = init_params(256, 4, 2, pos_mode="learned_table", grid_rows=64, grid_cols=64)
+    p = p.with_flat(np.random.default_rng(0).standard_normal(p.n_scalars))
+    path = tmp_path / "wsi.ckpt"
+    save_checkpoint(p, path)
+    if last is not None:
+        text = path.read_text()
+        path.write_text(text[: text.rstrip("\n").rfind(" ") + 1] + last + "\n")
+    return p, path
+
+
+def _traced_load(path):
+    """load_checkpoint(path)'s parameters or ValueError, and its peak of
+    traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            result = load_checkpoint(path)
+        except ValueError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 class TestCheckpointPieces:
     """A leaf line is parsed in pieces of _PIECE_CHARS characters, a value
-    cut at a piece's end carried into the next: the values, and which files
-    go to the token parser, are those of parsing each line whole."""
+    cut at a piece's end carried into the next, and _parse_decimals reads
+    only a piece np.fromstring refuses: every file loads, or fails, as the
+    whole-line token reading (_token_reading) reads it, in pieces of any
+    size."""
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=6), st.integers(1, 12))
@@ -440,10 +503,11 @@ class TestCheckpointPieces:
                 lines = fh.read().splitlines()
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines[:-1] + ["agg.w " + text]) + "\n")
-            whole = _load_outcome(path)
+            whole = _load_outcome(_token_reading, path)
+            assert _load_outcome(load_checkpoint, path) == whole
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fgpan.params, "_PIECE_CHARS", piece)
-                assert _load_outcome(path) == whole
+                assert _load_outcome(load_checkpoint, path) == whole
 
     @pytest.mark.parametrize("piece", [1, 2, 7, 24, 25, 1 << 20])
     def test_written_file_takes_the_fast_path_in_any_pieces(self, tmp_path, monkeypatch, piece):
@@ -452,25 +516,46 @@ class TestCheckpointPieces:
         path = tmp_path / "ckpt.txt"
         save_checkpoint(p, path)
         monkeypatch.setattr(fgpan.params, "_PIECE_CHARS", piece)
-        assert _load_outcome(path) == (p.theta.tobytes(), False)
+        monkeypatch.setattr(fgpan.params, "_parse_decimals", _refuse)
+        assert _load_outcome(load_checkpoint, path) == p.theta.tobytes()
+
+    @pytest.mark.parametrize("last", [None, "oops", "1_0"])
+    def test_opens_the_file_once(self, tmp_path, monkeypatch, last):
+        p = init_params(4, 2, 1, seed=0, pos_mode="learned_table", grid_rows=2, grid_cols=3)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(p, path)
+        if last is not None:
+            text = path.read_text()
+            path.write_text(text[: text.rstrip("\n").rfind(" ") + 1] + last + "\n")
+        calls, real = [], builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *a, **k: calls.append(a) or real(*a, **k))
+        _load_outcome(load_checkpoint, path)
+        assert len(calls) == 1
 
     def test_wsi_table_checkpoint_peak_memory(self, tmp_path):
-        """A wsi-shape checkpoint (d=256, S=4, 2 heads, a 64 x 64 learned
-        table: 1.51M values, 12 MB as theta and 32 MB as text) loads within
-        theta plus 8 MB of traced memory; reading each leaf line whole
-        peaked at 57 MB."""
-        p = init_params(256, 4, 2, pos_mode="learned_table", grid_rows=64, grid_cols=64)
-        p = p.with_flat(np.random.default_rng(0).standard_normal(p.n_scalars))
-        path = tmp_path / "wsi.ckpt"
-        save_checkpoint(p, path)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            q = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        """A wsi-shape checkpoint loads within theta plus 8 MB of traced
+        memory; reading each leaf line whole peaked at 57 MB."""
+        p, path = _wsi_checkpoint(tmp_path)
+        q, peak = _traced_load(path)
         assert q.theta.tobytes() == p.theta.tobytes()
+        assert peak <= p.theta.nbytes + (8 << 20), peak
+
+    def test_wsi_checkpoint_with_a_refused_last_value_peak_memory(self, tmp_path):
+        """A last value np.fromstring refuses raises if float() refuses it
+        too (oops), and loads as float() reads it (1_0 as 10.0), within
+        theta plus 8 MB of traced memory; reading the whole file again as
+        tokens peaked at 146 MB."""
+        p, path = _wsi_checkpoint(tmp_path, "oops")
+        error, peak = _traced_load(path)
+        assert str(error) == f"{path}: leaf 'agg.table': could not convert string to float: 'oops'"
+        assert peak <= p.theta.nbytes + (8 << 20), peak
+        text = path.read_text()
+        path.write_text(text.replace(" oops\n", " 1_0\n"))
+        del text
+        q, peak = _traced_load(path)
+        want = p.flatten()
+        want[-1] = 10.0
+        assert q.theta.tobytes() == want.tobytes()
         assert peak <= p.theta.nbytes + (8 << 20), peak
 
 
