@@ -7,6 +7,7 @@ from fgpan import (
     SyntheticConfig,
     desk_profile,
     forward_slide,
+    forward_slides,
     gen_synthetic,
     init_params,
     train,
@@ -27,10 +28,10 @@ print(f"seen: {len(seen)} slides / {seen_protos.n_classes} classes;"
 
 
 def evaluate(slides, params, protos, lwa_gff):
-    recs = []
-    for s in slides:
-        _, pred = forward_slide(s, params, protos, lwa_gff=lwa_gff)
-        recs.append(EvalRecord(s.slide_id, s.label, pred.predicted, pred.P))
+    # one call over all slides: small slides share a stacked forward pass
+    recs = [EvalRecord(s.slide_id, s.label, pred.predicted, pred.P)
+            for s, (_, pred) in zip(slides, forward_slides(slides, params, protos,
+                                                          lwa_gff=lwa_gff))]
     bacc = balanced_accuracy(recs)
     macro, weighted = f1_scores(recs)
     auroc = auroc_ovr(recs)

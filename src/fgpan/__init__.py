@@ -61,6 +61,7 @@ from .training import (
     desk_profile,
     finite_diff_check,
     forward_slide,
+    forward_slides,
     grad_total_loss,
     paper_profile,
     random_instance,

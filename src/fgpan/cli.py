@@ -9,6 +9,11 @@ RunConfig and the command table _COMMANDS declare the whole surface. Each
 field but `command` is a flag --name-with-dashes, typed by its annotation
 and limited to the values _CHOICES gives it, and a config-file key under
 the same checks.
+
+infer runs its slides, sorted by slide_id, through forward_slides, so small
+slides share stacks and the refinement products are formed once per run.
+
+Run it as `fgpan`, `python -m fgpan` or `python -m fgpan.cli`.
 """
 
 import argparse
@@ -44,6 +49,7 @@ from .training import (
     desk_profile,
     finite_diff_check,
     forward_slide,
+    forward_slides,
     paper_profile,
     random_instance,
     train,
@@ -314,6 +320,23 @@ def _infer_params(cfg: RunConfig, slides, checkpoint):
     )
 
 
+def _predict(slides, params, pset, lwa_gff: bool) -> list:
+    """forward_slides over the slides, in stacks. When that raises, the
+    slides run again one at a time, so the error names the first slide
+    that fails on its own, as it does in a per-slide loop."""
+    try:
+        return forward_slides(slides, params, pset, lwa_gff=lwa_gff)
+    except ValueError:
+        pass
+    out = []
+    for s in slides:
+        try:
+            out.append(forward_slide(s, params, pset, lwa_gff=lwa_gff))
+        except ValueError as exc:
+            raise ValueError(f"slide {s.slide_id!r}: {exc}") from exc
+    return out
+
+
 def _cmd_infer(cfg: RunConfig) -> int:
     _require(cfg, "data", "prototypes", "out")
     extra = []
@@ -325,12 +348,9 @@ def _cmd_infer(cfg: RunConfig) -> int:
     slides = _apply_selection(cfg, slides)
     pset = normalize_prototypes(load_prototypes(cfg.prototypes))
     params = _infer_params(cfg, slides, checkpoint)
+    slides = sorted(slides, key=lambda x: x.slide_id)
     lines = []
-    for s in sorted(slides, key=lambda x: x.slide_id):
-        try:
-            _, pred = forward_slide(s, params, pset, lwa_gff=cfg.choice("lwa_gff"))
-        except ValueError as exc:
-            raise ValueError(f"slide {s.slide_id!r}: {exc}") from exc
+    for s, (_, pred) in zip(slides, _predict(slides, params, pset, cfg.choice("lwa_gff"))):
         lines.append(
             json.dumps(
                 {
@@ -463,3 +483,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     raise SystemExit(dispatch(cfg))
+
+
+if __name__ == "__main__":
+    main()

@@ -52,10 +52,11 @@ __all__ = [
 def _parse_decimals(tokens: list, where: str, dtype=np.float64) -> np.ndarray:
     """Decimal text tokens (a list, or a list of equal-length rows) parsed
     in one call; each value is what float() (or int(), for an integer
-    dtype) gives for its token. A bad token raises ValueError naming where."""
+    dtype) gives for its token. A bad token, or an integer beyond the
+    dtype's range, raises ValueError naming where."""
     try:
         return np.array(tokens, dtype=dtype)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

@@ -3,7 +3,7 @@ optimizer, and the training loop.
 
 _forward_core is the one implementation of the pipeline (window attention
 -> gated fusion -> cosine scores -> temperature softmax -> coordinate-aware
-aggregation); forward_slide, total_loss and grad_total_loss all run it. The
+aggregation); forward_slides, total_loss and grad_total_loss all run it. The
 backward pass is hand-derived reverse-mode differentiation of that pipeline
 and of the patch + slide cross entropy, the slide term taken in log space.
 Its contract is agreement with central finite differences to 1e-5 relative
@@ -22,11 +22,14 @@ forward and 4L d^3 per backward whatever the rows, so a call over few rows
 at large d runs slower than the three-projection form did (README,
 "Refinement cost").
 
-total_loss and grad_total_loss run a batch as stacks: consecutive slides
-whose rows together fit in _STACK_ROWS share one forward (and one backward)
-over their concatenated rows, each slide moved to its own band of the
-window grid so no window spans two slides. Only the aggregation softmax,
-the slide distribution and the cross entropies are taken slide by slide.
+forward_slides, total_loss and grad_total_loss run a batch as stacks:
+consecutive slides whose rows together fit in _STACK_ROWS share one forward
+(and one backward) over their concatenated rows, each slide moved to its
+own band of the window grid so no window spans two slides. Only the
+aggregation softmax, the slide distribution and the cross entropies are
+taken slide by slide. A slide's results from a shared stack agree with its
+own forward to rounding: the row count of a product can change its last
+bits.
 """
 
 import math
@@ -50,6 +53,7 @@ __all__ = [
     "desk_profile",
     "paper_profile",
     "forward_slide",
+    "forward_slides",
     "total_loss",
     "grad_total_loss",
     "finite_diff_check",
@@ -164,16 +168,17 @@ def _forward_core(
     params: ModelParams,
     t_mat: np.ndarray,
     fold,
-    sizes: list[int] | None = None,
+    sizes: list[int],
     for_backward: bool = True,
 ):
-    """The forward pass of one slide, or of a stack of slides.
+    """The forward pass of a stack of slides; every pass (forward_slides,
+    total_loss, grad_total_loss) runs through here.
 
-    fold is _fold(params), or None to bypass the refinement stage. A stack
-    concatenates its slides' rows in f and coords, sizes[j] rows for slide
-    j; sizes None is one slide. alpha and log_alpha are normalized within
-    each slide, and p_slide is (C,) for one slide and (n_slides, C) when
-    sizes is given. Returns the intermediates the backward reads: u_in =
+    fold is _fold(params), formed once per call by the caller, or None to
+    bypass the refinement stage. A stack concatenates its slides' rows in f
+    and coords, sizes[j] rows for slide j. alpha and log_alpha are
+    normalized within each slide, and p_slide is (n_slides, C). Returns
+    the intermediates the backward reads: u_in =
     [H || phi] is built once and h, phi are views of its halves; h_hat is
     not kept (the backward recomputes it as h / h_norm); y = [Y_0 | Y_1 ...]
     and z = [gamma_0 Y_0 | gamma_1 Y_1 ...] are (M, L d), and attn holds
@@ -181,8 +186,7 @@ def _forward_core(
     (for_backward False) keeps none of these: it gates y in place and
     frees each head's weights once its Y_l is formed.
     """
-    one_slide = sizes is None
-    sizes = np.array([f.shape[0]] if one_slide else sizes, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
     cache: dict = {"f": f, "coords": coords, "fold": fold, "sizes": sizes, "bounds": bounds}
@@ -243,7 +247,7 @@ def _forward_core(
     cache.update(
         h=h, h_norm=h_norm, s=s, tau=tau, z_cls=z_cls,
         logp=logp, p=p, phi=phi, u_in=u_in, alpha=alpha, log_alpha=log_alpha,
-        p_slide=p_slide[0] if one_slide else p_slide,
+        p_slide=p_slide,
     )
     return cache
 
@@ -346,28 +350,6 @@ def _backward_core(
     d_mq += cache["f"].T @ dz
 
 
-def forward_slide(
-    slide: SlideRecord,
-    params: ModelParams,
-    pset: PrototypeSet,
-    *,
-    lwa_gff: bool = True,
-):
-    """Full pipeline for one slide.
-
-    Returns (the (M, C) patch class probabilities, SlidePrediction). With
-    lwa_gff=False the refinement stage is bypassed and raw embeddings feed
-    the classifier.
-    """
-    t_mat = _checked_proto_matrix(pset, slide.dim)
-    if slide.dim != params.dim:
-        raise ValueError(f"slide dim {slide.dim} does not match params dim {params.dim}")
-    cache = _forward_core(slide.matrix(), slide.coords(), params, t_mat,
-                          _fold(params) if lwa_gff else None, for_backward=False)
-    p_slide = cache["p_slide"]
-    return cache["p"], SlidePrediction(cache["alpha"], p_slide, int(np.argmax(p_slide)))
-
-
 def _require_labeled(slides: list[SlideRecord], n_classes: int) -> None:
     for s in slides:
         if s.label is None:
@@ -405,6 +387,52 @@ def _forward_stack(
         coords = np.concatenate([s.coords() for s in stack])
     return _forward_core(f, coords, params, t_mat, fold, [s.n_patches for s in stack],
                          for_backward)
+
+
+def forward_slides(
+    slides: list[SlideRecord],
+    params: ModelParams,
+    pset: PrototypeSet,
+    *,
+    lwa_gff: bool = True,
+) -> list:
+    """Full pipeline for each slide, in input order, run as stacks.
+
+    Returns one (the (M, C) patch class probabilities, SlidePrediction) per
+    slide. With lwa_gff=False the refinement stage is bypassed and raw
+    embeddings feed the classifier. The prototypes are checked and _fold
+    formed once per call, and each stack's intermediates are freed before
+    the next stack's forward. A fault raises ValueError; over several
+    slides it may be a later slide's fault than the first one's. Running
+    them one at a time finds the first (cli's infer falls back to that).
+    """
+    if not slides:
+        return []
+    t_mat = _checked_proto_matrix(pset, slides[0].dim)
+    for s in slides:
+        if s.dim != params.dim:
+            raise ValueError(f"slide dim {s.dim} does not match params dim {params.dim}")
+    fold = _fold(params) if lwa_gff else None
+    out = []
+    for stack in _stacks(slides):
+        cache = _forward_stack(stack, params, t_mat, fold, for_backward=False)
+        p, alpha = cache["p"], cache["alpha"]
+        for (a, b), p_j in zip(cache["bounds"], cache["p_slide"]):
+            out.append((p[a:b], SlidePrediction(alpha[a:b], p_j, int(np.argmax(p_j)))))
+        del cache  # freed before the next stack's forward
+    return out
+
+
+def forward_slide(
+    slide: SlideRecord,
+    params: ModelParams,
+    pset: PrototypeSet,
+    *,
+    lwa_gff: bool = True,
+):
+    """forward_slides for one slide: (the (M, C) patch class probabilities,
+    SlidePrediction)."""
+    return forward_slides([slide], params, pset, lwa_gff=lwa_gff)[0]
 
 
 def total_loss(

@@ -96,15 +96,20 @@ def random_head(rng, d, s):
 
 def forward_cache(features, coords, params, protos, *, lwa_gff=True):
     """The forward pass every command runs, over plain arrays: (M, d)
-    features, (M, 2) grid coordinates and unit-norm (C, d) prototype rows.
-    Returns its cache (y, gamma, z, h, s, p, alpha, p_slide, ...)."""
-    return _forward_core(
-        np.asarray(features, dtype=np.float64),
+    features, (M, 2) grid coordinates and unit-norm (C, d) prototype rows,
+    as a stack of one slide. Returns its cache (y, gamma, z, h, s, p,
+    alpha, ...), with p_slide the slide's (C,) distribution."""
+    features = np.asarray(features, dtype=np.float64)
+    cache = _forward_core(
+        features,
         np.asarray(coords, dtype=np.int64),
         params,
         np.asarray(protos, dtype=np.float64),
         _fold(params) if lwa_gff else None,
+        [features.shape[0]],
     )
+    cache["p_slide"] = cache["p_slide"][0]
+    return cache
 
 
 def make_pset(rows):

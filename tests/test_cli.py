@@ -4,12 +4,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fgpan
 from fgpan.cli import RunConfig, _build_parser, _echo, dispatch, main, parse_config
-from fgpan.data import load_prototypes, load_slide
+from fgpan.data import SlideRecord, load_prototypes, load_slide, save_slide
 from fgpan.params import init_params, load_checkpoint, save_checkpoint
 
 
@@ -575,10 +578,70 @@ class TestPipeline:
         assert err == f"error ({command}): {first} and {copy} both declare slide_id {sid!r}\n"
         assert (preds.read_bytes() if preds.exists() else None) == before
 
+    @pytest.mark.parametrize("fault, lwa_gff, message", [
+        ("zero row", "off", "zero-norm fused feature; cannot take cosine scores"),
+        ("dim", "on", "prototype dim 8 does not match feature dim 4"),
+    ])
+    def test_bad_second_slide_in_a_stack_named(self, corpus, tmp_path, capsys, fault,
+                                               lwa_gff, message):
+        """The four 9-row slides share one stack; a fault in the second, by
+        slide_id, names it with the stderr a per-slide loop gives, and no
+        predictions are written."""
+        second_path = sorted(corpus.glob("*.slide"))[1]
+        second = load_slide(second_path)
+        feats = second.matrix().copy()
+        if fault == "zero row":
+            feats[3] = 0.0
+        else:
+            feats = feats[:, :4]
+        save_slide(SlideRecord(second.slide_id, second.label, second.coords(), feats,
+                               second.grid_rows, second.grid_cols), second_path)
+        preds = tmp_path / "p.jsonl"
+        code, _, err = run(
+            ["infer", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--dim", "8", "--lwa-gff", lwa_gff, "--out", str(preds), "--seed", "1"], capsys,
+        )
+        assert code == 1
+        assert err == ("note: no --checkpoint; using fresh-init parameters (seed 1)\n"
+                       f"error (infer): slide {second.slide_id!r}: {message}\n")
+        assert not preds.exists()
+
+    def test_coordinate_beyond_int64_named(self, corpus, tmp_path, capsys):
+        """A coordinate too large for int64 is a named read error (exit 1),
+        not an OverflowError traceback."""
+        preds = tmp_path / "p.jsonl"
+        self.write_predictions(corpus, preds)
+        path = sorted(corpus.glob("*.slide"))[0]
+        lines = path.read_text().splitlines()
+        lines[1] = "99999999999999999999 " + lines[1].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        code, err = main_exit(["eval", "--data", str(corpus), "--predictions", str(preds)],
+                              capsys)
+        assert code == 1
+        assert err.startswith(f"error (eval): {path}: ")
+        assert "Traceback" not in err
+
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)
         assert code == 1
         assert "requires --data" in err
+
+
+@pytest.mark.parametrize("module", ["fgpan", "fgpan.cli"])
+def test_runs_as_a_module(module):
+    """python -m fgpan and python -m fgpan.cli run the CLI: --help prints
+    the usage and exits 0, no command exits 2."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fgpan.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    help_run = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+    assert help_run.returncode == 0, help_run.stderr
+    assert help_run.stdout.startswith("usage: fgpan ")
+    bare = subprocess.run([sys.executable, "-m", module], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert bare.returncode == 2
+    assert "error: no command given" in bare.stderr
 
 
 class TestGradcheckCommand:

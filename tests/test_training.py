@@ -29,6 +29,7 @@ from fgpan.training import (
     desk_profile,
     finite_diff_check,
     forward_slide,
+    forward_slides,
     grad_total_loss,
     paper_profile,
     random_instance,
@@ -346,6 +347,80 @@ class TestStacks:
             assert np.abs(got - mean).max() <= 1e-12 * scale, name
 
 
+@st.composite
+def infer_specs(draw):
+    """A batch spec for forward_slides: small and mid-size slides that fill
+    several stacks, with one slide larger than _STACK_ROWS among them."""
+    slides = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.one_of(st.integers(1, 64), st.integers(256, 700)))
+        rows = draw(st.integers(-(-m // 40), 40))
+        slides.append((m, rows, draw(st.integers(-(-m // rows), 40))))
+    big = draw(st.integers(_STACK_ROWS + 1, 1300))
+    slides.insert(draw(st.integers(0, len(slides))), (big, 40, draw(st.integers(33, 40))))
+    return dict(
+        slides=slides,
+        window_size=draw(st.sampled_from([1, 2, 3])),
+        pos_mode=draw(st.sampled_from(["sinusoidal", "learned_table"])),
+        lwa_gff=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestForwardSlides:
+    @settings(max_examples=30)
+    @given(infer_specs())
+    @example(dict(  # stacks of 64 + 48 + 700, the 1100-row slide alone, then 5 + 1 rows
+        slides=[(64, 8, 8), (48, 8, 8), (700, 30, 30), (1100, 40, 40), (5, 3, 3), (1, 1, 1)],
+        window_size=3, pos_mode="learned_table", lwa_gff=True, seed=11,
+    ))
+    def test_equals_forward_slide_per_slide(self, spec):
+        """Each slide's p, alpha, P and predicted from one forward_slides
+        call equal its own forward_slide: bitwise for a slide that is a
+        stack of its own (the same pass), and to 1e-12 relative in a shared
+        stack, where a product's row count can move the last bits."""
+        slides, pset, params = build_batch(spec)
+        stacks = _stacks(slides)
+        assert len(stacks) >= 2
+        alone = {id(stack[0]) for stack in stacks if len(stack) == 1}
+        got = forward_slides(slides, params, pset, lwa_gff=spec["lwa_gff"])
+        assert len(got) == len(slides)
+        for s, (p, pred) in zip(slides, got):
+            want_p, want = forward_slide(s, params, pset, lwa_gff=spec["lwa_gff"])
+            assert pred.predicted == want.predicted, s.slide_id
+            pairs = [(p, want_p), (pred.alpha, want.alpha), (pred.P, want.P)]
+            for a, b in pairs:
+                assert a.shape == b.shape
+                if id(s) in alone:
+                    assert a.tobytes() == b.tobytes(), s.slide_id
+                else:
+                    assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), s.slide_id
+
+    def test_empty_batch(self):
+        _, pset, params = random_instance(0)
+        assert forward_slides([], params, pset) == []
+
+    def test_fold_and_prototype_check_once_per_call(self, monkeypatch):
+        """Eighty 16-row slides, two stacks, form the fold and check the
+        prototypes once, not once per slide or per stack."""
+        import fgpan.training as training
+
+        slides, pset, params = random_instance(4, patches=16, n_slides=80, grid_rows=8,
+                                               grid_cols=8)
+        calls = {"_fold": 0, "_checked_proto_matrix": 0}
+        for name in calls:
+            original = getattr(training, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(training, name, counted)
+        assert len(_stacks(slides)) == 2
+        forward_slides(slides, params, pset)
+        assert calls == {"_fold": 1, "_checked_proto_matrix": 1}
+
+
 class TestWsiScaleOracle:
     def test_directional_derivatives_at_wsi_shape(self):
         """The 1e-5 contract at the wsi-train shape: two 2048-row, d=256
@@ -404,8 +479,9 @@ def _traced_peak(fn) -> int:
 
 
 class TestPeakMemory:
-    @pytest.mark.parametrize("pass_fn", [total_loss, grad_total_loss],
-                             ids=["total_loss", "grad_total_loss"])
+    @pytest.mark.parametrize("pass_fn", [total_loss, grad_total_loss,
+                                         lambda sl, p, ps, _: forward_slides(sl, p, ps)],
+                             ids=["total_loss", "grad_total_loss", "forward_slides"])
     def test_two_stacks_peak_as_one(self, pass_fn):
         """A batch that runs as two stacks holds one stack's intermediates
         at a time: its peak is within 1.25x the larger one-slide peak, not
