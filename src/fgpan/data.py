@@ -185,6 +185,11 @@ class SlideRecord:
         """The (M, 2) int64 patch coordinates, file order (read-only)."""
         return self._coords
 
+    def __reduce__(self):
+        """Pickled as its constructor's arguments: unpickling checks them again."""
+        return SlideRecord, (self.slide_id, self.label, self._coords, self._features,
+                             self.grid_rows, self.grid_cols)
+
     def __eq__(self, other):
         return (
             isinstance(other, SlideRecord)
@@ -393,13 +398,7 @@ def load_slide(path) -> SlideRecord:
                        grid_rows, grid_cols)
 
 
-def _slide_fields(rec: SlideRecord) -> dict:
-    """The SlideRecord arguments that make rec again."""
-    return dict(slide_id=rec.slide_id, label=rec.label, coords=rec.coords(),
-                features=rec.matrix(), grid_rows=rec.grid_rows, grid_cols=rec.grid_cols)
-
-
-reader("slide", load_slide, _slide_fields, SlideRecord)
+reader("slide", load_slide)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,15 @@ class TemperatureParam(_Group):
 
     @property
     def tau(self) -> float:
-        return math.exp(self.log_tau)
+        """exp(log_tau); a ValueError where that overflows or rounds to 0."""
+        try:
+            tau = math.exp(self.log_tau)
+        except OverflowError:
+            tau = math.inf
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"temp.log_tau = {self.log_tau!r}: tau = exp(log_tau) "
+                             f"overflows or rounds to 0")
+        return tau
 
 
 class AggregationParams(_Group):
@@ -275,6 +283,10 @@ class ModelParams(_Group):
                                             grid_rows=grid_rows, grid_cols=grid_cols)),
         ):
             object.__setattr__(self, key, value)
+
+    def __reduce__(self):
+        """Pickled as its constructor's arguments: unpickling checks them again."""
+        return functools.partial(ModelParams, **self._dims), (self.theta,)
 
     @property
     def dims(self) -> dict:
@@ -522,4 +534,4 @@ def load_checkpoint(
         raise ValueError(f"{path}: {exc}") from None
 
 
-reader("checkpoint", load_checkpoint, lambda p: dict(theta=p.theta, **p.dims), ModelParams)
+reader("checkpoint", load_checkpoint)

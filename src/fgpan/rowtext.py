@@ -2,34 +2,40 @@
 directions: writes format float64 rows as canonical decimal text, reads
 parse whole files. Both use one pool of forked worker processes, one per
 CPU less the caller's, made once per process on its first large write or
-read. One write or read at a time uses the pool; a forked child forgets its
-parent's pool.
+read, and one protocol. A write or read is cut into shares of calls, each
+picklable and taking no arguments. The caller sends each worker a share,
+runs the first share itself, then takes every call's result in order. A
+worker runs its whole share before it sends anything back, so it never
+waits on the busy caller, then sends each result pickled, or None for a
+call that raised. A call that raised, or whose result a worker that died
+did not send, is the caller's to make again. One write or read at a time
+uses the pool; a forked child forgets its parent's pool. Worker calls make
+no BLAS call: a worker may be forked after BLAS threads exist.
+
+No thread is involved: the caller unpickles every result itself, so what
+it allocates comes from its own thread's malloc arena, where the next
+training pass can reuse it. multiprocessing.Pool and ProcessPoolExecutor
+unpickle results on a helper thread, in another arena, and Pool hangs when
+a worker is killed.
 
 Writing. Each value is written as repr gives it, the shortest decimal that
 reads back as the same double. That text depends on the value alone, so it
 is the same whichever process formats it. It is also the cost of a large
 write: about 0.85 us per value on one core of a 2-core Xeon host, and every
 %-style formatter costs the same. A write of at least PARALLEL_VALUES
-values is cut into one contiguous share of rows per CPU. The caller sends
-each worker its share over a pipe, formats the first share itself one row
-at a time, then reads the workers' texts in row order. A worker formats
-its whole share before it sends any of it, so it never waits on the busy
-caller, and sends it in pieces of about _SEND_VALUES values: the caller
-holds one piece of a worker's text at a time. No thread is involved, so
-what the caller allocates for a write comes from its own thread's malloc
-arena, where the next training pass can reuse it.
+values is cut into one contiguous share of rows per CPU, and each share
+into calls of about _SEND_VALUES values that give their rows' texts: the
+caller holds one call's text at a time.
 
 Reading. A batch of files holding at least PARALLEL_BYTES bytes is split
 over the caller and the workers, largest file first to the share with the
-fewest bytes. Each worker reads its whole share with the loader registered
-for the file's kind, then sends back each result's arrays as raw bytes,
-which the caller receives into arrays it allocates. The caller reads its
-own share meanwhile with its own loader, and rebuilds each worker's result
-through the result's constructor, with its checks, when the result is
-taken. A file whose read raised anywhere, or that a worker that died did
-not send, is read by the caller's loader when its result is taken, so its
-error is the serial one and comes in the caller's order. Worker code calls
-no BLAS routine: a worker may be forked after BLAS threads exist.
+fewest bytes. A worker reads a file with the loader registered for its
+kind, and its result comes back pickled, to be rebuilt through its
+constructor, with its checks (SlideRecord, ModelParams). The caller reads
+its own share meanwhile with its own loader. A file whose read raised
+anywhere, or that a worker that died did not send, is read by the caller's
+loader when its result is taken, so its error is the serial one and comes
+in the caller's order.
 
 Below PARALLEL_VALUES values or PARALLEL_BYTES bytes, on a single CPU, where
 the platform cannot fork, where it does not say which CPUs the process may
@@ -42,6 +48,7 @@ import os
 import threading
 from collections.abc import Callable, Iterator
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -65,22 +72,26 @@ PARALLEL_VALUES = 1 << 15
 # about 21 KB and a 40 KB checkpoint) stays below and never starts the pool.
 PARALLEL_BYTES = 1 << 21
 
-# values per piece of text a worker sends back (about 1.3 MB of text for
-# random doubles)
+# values per call of a write (about 1.3 MB of text for random doubles)
 _SEND_VALUES = 1 << 16
 
 _pool: list | None = None  # (process, connection) of each worker
 _pool_lock = threading.Lock()  # held by the one write or read that uses the pool
 
-# kind -> (load, fields, build) of each kind of file a worker can read
-_readers: dict[str, tuple[Callable, Callable, Callable]] = {}
+# kind -> loader of each kind of file a worker can read
+_readers: dict[str, Callable] = {}
 
 
-def reader(kind: str, load: Callable, fields: Callable, build: Callable) -> None:
-    """Let workers read files of a kind: load(path, **kwargs) reads one,
-    fields(result) gives the keyword arguments build takes to make the
-    result again, and those that are arrays cross the pipe as raw bytes."""
-    _readers[kind] = (load, fields, build)
+def reader(kind: str, load: Callable) -> None:
+    """Let workers read files of a kind with load(path, **kwargs), whose
+    result must pickle."""
+    _readers[kind] = load
+
+
+def _read(kind: str, *args, **kwargs):
+    """A read call: the file read with the loader registered for its kind in
+    the process that runs it."""
+    return _readers[kind](*args, **kwargs)
 
 
 def _texts(values: np.ndarray, widths) -> Iterator[str]:
@@ -91,52 +102,31 @@ def _texts(values: np.ndarray, widths) -> Iterator[str]:
         pos += w
 
 
-def _format_share(conn, values: np.ndarray, widths: list[int]) -> None:
-    """In a worker: send back the text of a share of rows, in pieces."""
-    texts = list(_texts(values, widths))
-    start = count = 0
-    for i, w in enumerate(widths, 1):
-        count += w
-        if count >= _SEND_VALUES or i == len(widths):
-            conn.send(texts[start:i])
-            start, count = i, 0
+def _format(values: np.ndarray, widths: list[int]) -> list[str]:
+    """A write call: the text of each consecutive row of a flat vector."""
+    return list(_texts(values, widths))
 
 
-def _read_share(conn, files: list[tuple]) -> None:
-    """In a worker: read every (kind, args, kwargs) file of a share, then
-    send back each one's fields, in share order: a header of the kind, the
-    fields that are not arrays and the (name, dtype, shape) of those that
-    are, then each array's bytes. A file whose read raised is sent as None."""
-    results = []
-    for kind, args, kwargs in files:
-        load, fields, _ = _readers[kind]
-        try:
-            results.append((kind, fields(load(*args, **kwargs))))
-        except Exception:  # the caller reads the file again and raises there
-            results.append(None)
-    for result in results:
-        if result is None:
-            conn.send(None)
-            continue
-        kind, values = result
-        arrays = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
-        rest = {k: v for k, v in values.items() if k not in arrays}
-        conn.send((kind, rest, [(k, a.dtype.str, a.shape) for k, a in arrays.items()]))
-        for a in arrays.values():
-            conn.send_bytes(np.ascontiguousarray(a).reshape(-1))
+def _run(call: Callable):
+    """call's result, or None if it raised (its caller makes it again)."""
+    try:
+        return call()
+    except Exception:
+        return None
 
 
 def _serve(conn, inherited: list) -> None:
-    """A worker: run each (task, args) it receives, a task sending its
-    results back over conn, until the caller closes the pipe."""
+    """A worker: run each share of calls it receives, then send back every
+    call's result, until the caller closes the pipe."""
     for other in inherited:  # caller ends of its own and earlier workers' pipes
         other.close()
     while True:
         try:
-            task, args = conn.recv()
+            calls = conn.recv()
         except EOFError:
             return
-        task(conn, *args)
+        for result in [_run(call) for call in calls]:
+            conn.send(result)
 
 
 def _forget_pool() -> None:
@@ -190,38 +180,59 @@ def _get_pool() -> list | None:
     return _pool
 
 
-def _pooled_texts(pool: list, values: np.ndarray, widths: list[int]) -> Iterator[str]:
-    """row_texts over the pool: the caller's share first, then each
-    worker's, in row order."""
-    shares = len(pool) + 1
-    ends = np.cumsum(widths)
-    offset = [0, *ends.tolist()]  # value offset of each row's start
-    targets = values.size * np.arange(1, shares) / shares
-    cuts = [0, *np.searchsorted(ends, targets, side="right").tolist(), len(widths)]
-    sent = []  # (connection, end row) of each share a worker took
-    row = cuts[1]  # the first row no worker has sent back yet
+def _farm(pool: list, shares: list[list[Callable]]) -> Iterator:
+    """Every call's result, share by share in order; None for a call that
+    raised, or whose result a worker that died did not send. shares[0] is
+    run here, once each later share is sent to its worker. Closed while
+    results are left in the pipes, it drops the pool, so that no later
+    write or read takes them as its own."""
+    # results asked of the workers and not yet received: counted, since a
+    # caller may stop taking results once it has every one it needs
+    unread = 0
     try:
         try:
-            for (_, conn), lo, hi in zip(pool, cuts[1:-1], cuts[2:]):
-                if lo < hi:
-                    conn.send((_format_share, (values[offset[lo] : offset[hi]], widths[lo:hi])))
-                    sent.append((conn, hi))
-        except OSError:  # a worker died: the caller formats every share
+            for (_, conn), share in zip(pool, shares[1:]):
+                conn.send(share)
+                unread += len(share)
+        except OSError:  # a worker died: the caller makes every call
             _drop_pool()
-        yield from _texts(values, widths[: cuts[1]])
-        for conn, hi in sent:
-            while row < hi and _pool is pool:
-                try:
-                    texts = conn.recv()
-                except (EOFError, OSError):
-                    _drop_pool()
-                    break
-                row += len(texts)
-                yield from texts
-        yield from _texts(values[offset[row] :], widths[row:])
+        yield from map(_run, shares[0])
+        for (_, conn), share in zip(pool, shares[1:]):
+            for _ in share:
+                result = None
+                if _pool is pool:
+                    unread -= 1
+                    try:
+                        result = conn.recv()
+                    except (EOFError, OSError):  # the worker died
+                        _drop_pool()
+                    except Exception:  # its constructor refused it here
+                        pass
+                yield result
     finally:
-        if sent and _pool is pool and row < sent[-1][1]:
-            _drop_pool()  # closed early: text is left unread in the pipes
+        if unread and _pool is pool:
+            _drop_pool()
+
+
+def _pooled_texts(pool: list, values: np.ndarray, widths: list[int]) -> Iterator[str]:
+    """row_texts over the pool: one contiguous share of rows per process,
+    the caller's first, each cut into calls of about _SEND_VALUES values."""
+    ends = np.cumsum(widths)
+    offset = [0, *ends.tolist()]  # value offset of each row's start
+
+    def cut(lo: int, hi: int, marks) -> list[tuple[int, int]]:
+        """Rows lo to hi, cut after the last row that ends by each mark."""
+        bounds = [lo, *np.searchsorted(ends, marks, side="right").tolist(), hi]
+        return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+    n = len(pool) + 1
+    shares = [
+        [partial(_format, values[offset[a] : offset[b]], widths[a:b])
+         for a, b in cut(lo, hi, range(offset[lo] + _SEND_VALUES, offset[hi], _SEND_VALUES))]
+        for lo, hi in cut(0, len(widths), values.size * np.arange(1, n) / n)
+    ]
+    for call, texts in zip(chain.from_iterable(shares), _farm(pool, shares)):
+        yield from call() if texts is None else texts
 
 
 def row_texts(values: np.ndarray, widths: list[int]) -> Iterator[str]:
@@ -257,20 +268,6 @@ def _file_bytes(read: partial) -> int:
         return 0
 
 
-def _receive(conn) -> partial | None:
-    """One result a worker sent: build over its fields, the arrays received
-    into new ones; None for a file whose read raised there."""
-    header = conn.recv()
-    if header is None:
-        return None
-    kind, fields, arrays = header
-    for name, dtype, shape in arrays:
-        fields[name] = np.empty(shape, dtype)
-        # into a flat view: recv_bytes_into sizes a buffer by its first axis
-        conn.recv_bytes_into(fields[name].reshape(-1))
-    return partial(_readers[kind][2], **fields)
-
-
 def _pooled_reads(pool: list, reads: list, sizes: list[int], results: list) -> None:
     """read_files over the pool: fill results with what the caller and the
     workers read."""
@@ -280,38 +277,14 @@ def _pooled_reads(pool: list, reads: list, sizes: list[int], results: list) -> N
         k = loads.index(min(loads))
         shares[k].append(i)
         loads[k] += sizes[i]
-    sent = []  # (connection, file indices) of each share a worker took
-    done = False
-    try:
-        try:
-            for (_, conn), share in zip(pool, shares):
-                if share:
-                    files = [(reads[i][0], reads[i][1].args, reads[i][1].keywords) for i in share]
-                    conn.send((_read_share, (files,)))
-                    sent.append((conn, share))
-        except OSError:  # a worker died: the caller reads every file
-            _drop_pool()
-        for i in shares[-1]:
-            try:
-                value = reads[i][1]()
-            except Exception:  # read again when taken, to raise in serial order
-                continue
+    shares.insert(0, shares.pop())  # the caller's runs first
+    calls = [[reads[i][1] for i in shares[0]]] + [
+        [partial(_read, reads[i][0], *reads[i][1].args, **reads[i][1].keywords) for i in share]
+        for share in shares[1:]
+    ]
+    for i, value in zip(chain.from_iterable(shares), _farm(pool, calls)):
+        if value is not None:
             results[i] = lambda value=value: value
-        for conn, share in sent:
-            for i in share:
-                if _pool is not pool:
-                    break
-                try:
-                    built = _receive(conn)
-                except (EOFError, OSError):
-                    _drop_pool()
-                    break
-                if built is not None:
-                    results[i] = built
-        done = True
-    finally:
-        if sent and not done and _pool is pool:
-            _drop_pool()  # stopped early: results are left unread in the pipes
 
 
 def read_files(reads: list[tuple[str, partial]]) -> list[Callable]:

@@ -222,6 +222,8 @@ def _forward_core(
     h_norm = np.linalg.norm(h, axis=1)
     if np.any(h_norm == 0.0):
         raise ValueError("zero-norm fused feature; cannot take cosine scores")
+    if not np.isfinite(h_norm).all():
+        raise ValueError("non-finite fused-feature norm; cannot take cosine scores")
     s = (h / h_norm[:, None]) @ t_mat.T
     tau = params.temp.tau
     z_cls = s / tau
@@ -435,6 +437,16 @@ def forward_slide(
     return forward_slides([slide], params, pset, lwa_gff=lwa_gff)[0]
 
 
+def _finite(loss: float, grads: ModelParams | None = None) -> float:
+    """loss, refused by name if it or any gradient is not finite."""
+    if not math.isfinite(loss):
+        raise ValueError(f"non-finite loss {float(loss)!r}")
+    if grads is not None and not np.isfinite(grads.theta).all():
+        bad = next(name for name, g in grads.leaves() if not np.isfinite(g).all())
+        raise ValueError(f"non-finite gradient in parameter leaf {bad!r}")
+    return loss
+
+
 def total_loss(
     slides: list[SlideRecord],
     params: ModelParams,
@@ -454,7 +466,7 @@ def total_loss(
         cache = _forward_stack(stack, params, t_mat, fold, for_backward=False)
         total += _stack_objective(cache, [s.label for s in stack], lam)[0]
         del cache  # freed before the next stack's forward
-    return total / len(slides)
+    return _finite(total / len(slides))
 
 
 def grad_total_loss(
@@ -485,7 +497,7 @@ def grad_total_loss(
     if d_fold is not None:
         _unfold_grads(params, d_fold, grads)
     grads.theta *= 1.0 / len(slides)
-    return total / len(slides), grads
+    return _finite(total / len(slides), grads), grads
 
 
 def _central_difference(fn, vec: np.ndarray, i: int, step: float) -> float:

@@ -621,6 +621,36 @@ class TestPipeline:
         assert err.startswith(f"error (eval): {path}: ")
         assert "Traceback" not in err
 
+    def test_train_with_a_huge_learning_rate_names_log_tau(self, corpus, tmp_path, capsys):
+        """A learning rate that drives log_tau past exp's range ends in one
+        named error line, not an OverflowError traceback, and no checkpoint."""
+        ckpt = tmp_path / "model.ckpt"
+        code, err = main_exit(
+            ["train", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--dim", "8", "--iterations", "20",
+             "--learning-rate", "1000"], capsys,
+        )
+        assert code == 1
+        assert re.fullmatch(r"error \(train\): temp\.log_tau = \S+: tau = exp\(log_tau\) "
+                            r"overflows or rounds to 0\n", err)
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("log_tau", [800.0, -800.0])
+    def test_infer_with_tau_out_of_range_names_log_tau(self, corpus, tmp_path, capsys, log_tau):
+        params = init_params(8, 2, 2, seed=0)
+        params.temp.log_tau = log_tau
+        ckpt, preds = tmp_path / "tau.ckpt", tmp_path / "p.jsonl"
+        save_checkpoint(params, ckpt)
+        code, err = main_exit(
+            ["infer", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--dim", "8", "--out", str(preds)], capsys,
+        )
+        first = min(load_slide(p).slide_id for p in corpus.glob("*.slide"))
+        assert code == 1
+        assert err == (f"error (infer): slide {first!r}: temp.log_tau = {log_tau!r}: "
+                       f"tau = exp(log_tau) overflows or rounds to 0\n")
+        assert not preds.exists()
+
     def test_missing_required_path(self, capsys):
         code, _, err = run(["train"], capsys)
         assert code == 1

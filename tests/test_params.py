@@ -1,6 +1,7 @@
 """The parameter schema, initialization, flat ordering, and checkpoint IO."""
 
 import builtins
+import math
 import operator
 import os
 import re
@@ -198,6 +199,21 @@ class TestSchema:
         vec[-1] = bad
         with pytest.raises(ValueError, match="leaf 'agg.w' holds a non-finite value"):
             p.with_flat(vec)
+
+    @pytest.mark.parametrize("log_tau", [709.0, -745.0])
+    def test_tau_at_the_edges_of_the_doubles(self, log_tau):
+        p = init_params(4, 2, 1, seed=0)
+        p.temp.log_tau = log_tau
+        assert 0.0 < p.temp.tau < math.inf
+
+    @pytest.mark.parametrize("log_tau", [710.0, 800.0, 1e300, -746.0, -800.0, -1e300])
+    def test_tau_out_of_range_names_log_tau(self, log_tau):
+        """exp(log_tau) overflowing or rounding to 0 is a named error, not an
+        OverflowError or a tau of 0."""
+        p = init_params(4, 2, 1, seed=0)
+        p.temp.log_tau = log_tau
+        with pytest.raises(ValueError, match=re.escape(f"temp.log_tau = {log_tau!r}: tau = exp")):
+            p.temp.tau
 
     def test_standalone_head_validated(self):
         with pytest.raises(ValueError, match="square"):

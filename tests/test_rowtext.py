@@ -4,6 +4,7 @@ where a write or read is large enough and the host has a CPU to spare."""
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -124,6 +125,59 @@ class TestSameBytes:
         texts.close()
         assert rowtext._pool is None
         assert list(rowtext.row_texts(second, [4] * 10)) == serial_texts(second, [4] * 10)
+
+    def test_write_call_that_raises_in_a_worker_is_made_again(self, four_cpus, monkeypatch):
+        """The caller formats the rows of every worker call that raised, to
+        the serial text, and the workers stay in the pool."""
+        monkeypatch.setattr(rowtext, "_SEND_VALUES", 6)
+        rows = []  # row count of each write call made in the caller
+        monkeypatch.setattr(rowtext, "_format", partial(_format_in_the_caller_only, rows))
+        values, widths = np.arange(60) / 7.0, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 2]
+        assert list(rowtext.row_texts(values, widths)) == serial_texts(values, widths)
+        pool = rowtext._pool
+        assert sum(rows) == len(widths)
+        assert list(rowtext.row_texts(values, widths)) == serial_texts(values, widths)
+        assert rowtext._pool is pool
+
+
+_FORMAT = rowtext._format
+
+
+def _format_in_the_caller_only(rows, values, widths):
+    """rowtext._format, raising in a pool worker and noting each call's row
+    count in the caller."""
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("a worker's write call failed")
+    rows.append(len(widths))
+    return _FORMAT(values, widths)
+
+
+class TestPickledResults:
+    """Read results cross the pipe pickled, rebuilt through their
+    constructors."""
+
+    @pytest.mark.parametrize("label", [None, 2])
+    def test_slide_record_round_trip(self, label):
+        rng = np.random.default_rng(3)
+        rec = SlideRecord("s", label, [[0, 1], [3, 2], [1, 1]], rng.standard_normal((3, 4)), 5, 6)
+        back = pickle.loads(pickle.dumps(rec))
+        assert _fingerprint(back) == _fingerprint(rec)
+        assert not back.coords().flags.writeable and not back.matrix().flags.writeable
+
+    @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
+    def test_model_params_round_trip(self, pos_mode):
+        params = init_params(4, 2, 2, pos_mode=pos_mode, grid_rows=3, grid_cols=2, seed=1)
+        params = params.with_flat(np.random.default_rng(2).choice(ADVERSARIAL, params.n_scalars))
+        back = pickle.loads(pickle.dumps(params))
+        assert _fingerprint(back) == _fingerprint(params)
+        assert back.agg.positional_mode == pos_mode
+
+    def test_model_params_made_non_finite_fails_to_unpickle(self):
+        params = init_params(4, 2, 2, seed=1)
+        params["gates.b_g"][1] = np.nan  # through the view, after the checks ran
+        data = pickle.dumps(params)
+        with pytest.raises(ValueError, match="parameter leaf 'gates.b_g' holds a non-finite"):
+            pickle.loads(data)
 
 
 class TestConcurrentWrites:
@@ -333,7 +387,6 @@ class TestReads:
         makes a new pool."""
         paths = _write_slides(tmp_path, [4] * 9)  # two files or more per worker
         caller = os.getpid()
-        load, fields, build = rowtext._readers["slide"]
         seen = []  # in a worker, the files it has handled
 
         def second_file_in_worker(stage):
@@ -349,20 +402,35 @@ class TestReads:
 
         def dying_load(path):
             second_file_in_worker("reading")
-            return load(path)
+            rec = load_slide(path)
+            return SlideRecord(DieWhenSent(rec.slide_id), rec.label, rec.coords(), rec.matrix(),
+                               rec.grid_rows, rec.grid_cols)
 
-        def dying_fields(rec):
-            return {**fields(rec), "slide_id": DieWhenSent(rec.slide_id)}
-
-        monkeypatch.setitem(rowtext._readers, "slide", (dying_load, dying_fields, build))
+        monkeypatch.setitem(rowtext._readers, "slide", dying_load)
         rowtext._drop_pool()  # the writes made one; workers forked from here read so
         want = _outcome(_serial_reads(paths))
         reads = [("slide", load) for load in _serial_reads(paths)]
         assert _outcome(rowtext.read_files(reads)) == want
         assert rowtext._pool is None
-        monkeypatch.setitem(rowtext._readers, "slide", (load, fields, build))
+        monkeypatch.setitem(rowtext._readers, "slide", load_slide)
         assert _outcome(rowtext.read_files(reads)) == want
         assert rowtext._pool is not None
+
+    def test_result_its_constructor_refuses_is_read_again(self, four_cpus, tmp_path,
+                                                          monkeypatch):
+        """A worker's result that fails its constructor's checks when it is
+        unpickled is read again by the caller's loader; the pool stays."""
+        paths = _write_slides(tmp_path, [3, 5, 2, 4])
+        monkeypatch.setitem(rowtext._readers, "slide", _refused_when_rebuilt)
+        rowtext._drop_pool()  # workers forked from here read so
+        calls = []
+        results = rowtext.read_files([("slide", partial(_recording(load_slide, calls), p))
+                                      for p in paths])
+        pool = rowtext._pool
+        assert 0 < len(calls) < len(paths)  # the caller's own share
+        assert _outcome(results) == _outcome(_serial_reads(paths))
+        assert sorted(calls) == paths  # the rest, when taken
+        assert pool is not None and rowtext._pool is pool
 
     def test_read_while_another_thread_writes(self, four_cpus, tmp_path):
         """A read that starts while a write holds the pool reads every file
@@ -405,6 +473,16 @@ class TestReads:
         finally:
             sys.setswitchinterval(interval)
         assert all(all(r) for r in results)
+
+
+class _RefusedWhenRebuilt:
+    def __reduce__(self):
+        return SlideRecord, ("bad", 0, [[0, 0]], [[np.nan]])
+
+
+def _refused_when_rebuilt(path):
+    """A worker loader whose result SlideRecord refuses in the caller."""
+    return _RefusedWhenRebuilt()
 
 
 def _infer_argv(data, ckpt, out):

@@ -523,6 +523,74 @@ class TestPeakMemory:
         assert fwd <= 0.6 * grad, (fwd, grad)
 
 
+# what a ValueError at the numeric edges names
+_NAMED_EDGE = re.compile(
+    r"temp\.log_tau = |zero-norm fused feature|non-finite fused-feature norm|non-finite loss"
+    r"|non-finite gradient in parameter leaf '|alpha must be a finite|P must be finite"
+)
+
+
+def _scaled(slides, scale):
+    return [SlideRecord(s.slide_id, s.label, s.coords(), s.matrix() * scale, s.grid_rows,
+                        s.grid_cols) for s in slides]
+
+
+class TestNumericEdges:
+    """At any reachable temperature and feature scale, every public pass
+    returns finite values or raises a ValueError that names what is out of
+    range."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1000, 1000), st.floats(-300, 300), st.booleans(), st.integers(0, 3))
+    @example(800.0, 0.0, True, 0)
+    @example(-800.0, 0.0, True, 0)
+    @example(-720.0, 0.0, False, 1)
+    @example(0.0, 160.0, False, 0)
+    @example(0.0, -300.0, False, 0)
+    def test_every_pass_is_finite_or_named(self, log_tau, exponent, lwa_gff, seed):
+        slides, pset, params = random_instance(seed, randomize_params=True)
+        slides = _scaled(slides, 10.0 ** exponent)
+        params.temp.log_tau = log_tau
+        passes = [
+            lambda: [x for p, pred in forward_slides(slides, params, pset, lwa_gff=lwa_gff)
+                     for x in (p, pred.alpha, pred.P)],
+            lambda: [total_loss(slides, params, pset, 1.0, lwa_gff=lwa_gff)],
+            lambda: [x.theta if hasattr(x, "theta") else x
+                     for x in grad_total_loss(slides, params, pset, 1.0, lwa_gff=lwa_gff)],
+        ]
+        for run in passes:
+            try:
+                out = run()
+            except ValueError as exc:
+                assert _NAMED_EDGE.search(str(exc)), str(exc)
+            else:
+                assert all(np.isfinite(x).all() for x in out)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_feature_norm_is_refused(self):
+        """Features at 1e160 overflow |h| without refinement; h / |h| would
+        be 0 and P exactly uniform."""
+        slides, pset, params = random_instance(0)
+        slides = _scaled(slides, 1e160)
+        for run in (lambda: forward_slides(slides, params, pset, lwa_gff=False),
+                    lambda: total_loss(slides, params, pset, 1.0, lwa_gff=False),
+                    lambda: grad_total_loss(slides, params, pset, 1.0, lwa_gff=False)):
+            with pytest.raises(ValueError, match="non-finite fused-feature norm"):
+                run()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_and_gradient_are_refused(self):
+        """A tau that is positive but tiny (log_tau -720) overflows the
+        scores: the loss is refused by name, not returned as NaN."""
+        slides, pset, params = random_instance(1)
+        params.temp.log_tau = -720.0
+        with pytest.raises(ValueError, match="non-finite loss"):
+            total_loss(slides, params, pset, 1.0)
+        with pytest.raises(ValueError, match="non-finite loss"):
+            grad_total_loss(slides, params, pset, 1.0)
+
+
 class TestAdamW:
     def test_zero_learning_rate_is_identity(self):
         slides, pset, params = random_instance(6)
