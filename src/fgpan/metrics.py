@@ -4,7 +4,6 @@ one-vs-rest AUROC via the Mann-Whitney rank statistic with midranks."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "EvalRecord",
@@ -88,7 +87,11 @@ def binary_auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        raise ValueError("AUROC scores must not be NaN")
+    _, tie_run, run_len = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(run_len)
+    ranks = ((ends - run_len + 1 + ends) / 2)[tie_run]  # midranks, exact half-integers
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

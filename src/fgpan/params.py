@@ -23,6 +23,7 @@ tokens are alive at a time.
 import functools
 import json
 import math
+import sys
 import warnings
 from itertools import islice
 
@@ -214,7 +215,8 @@ class TemperatureParam(_Group):
 
     @property
     def tau(self) -> float:
-        """exp(log_tau); a ValueError where that overflows or rounds to 0."""
+        """exp(log_tau); a ValueError where that overflows, rounds to 0 or is
+        subnormal. A normal tau keeps every score s / tau, |s| <= 1, finite."""
         try:
             tau = math.exp(self.log_tau)
         except OverflowError:
@@ -222,6 +224,9 @@ class TemperatureParam(_Group):
         if not 0.0 < tau < math.inf:
             raise ValueError(f"temp.log_tau = {self.log_tau!r}: tau = exp(log_tau) "
                              f"overflows or rounds to 0")
+        if tau < sys.float_info.min:
+            raise ValueError(f"temp.log_tau = {self.log_tau!r}: tau = exp(log_tau) = {tau!r} "
+                             f"is subnormal, so s / tau would overflow")
         return tau
 
 

@@ -9,7 +9,6 @@ deterministic.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .data import ClassPrototype, PrototypeSet
 
@@ -98,4 +97,5 @@ def interclass_distance(pset: PrototypeSet) -> float:
     norms = np.linalg.norm(x, axis=1)
     if np.any(np.abs(norms - 1.0) > _NORM_TOL):
         raise ValueError("embeddings must be normalized before measuring distance")
-    return float(pdist(x).mean())
+    i, j = np.triu_indices(len(x), k=1)
+    return float(np.linalg.norm(x[i] - x[j], axis=1).mean())

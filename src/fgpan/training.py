@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .aggregation import (
     SlidePrediction,
@@ -117,6 +116,13 @@ def _checked_proto_matrix(pset: PrototypeSet, dim: int) -> np.ndarray:
     if np.any(np.abs(np.linalg.norm(t, axis=1) - 1.0) > _NORM_TOL):
         raise ValueError("prototypes must be normalized before the forward pass")
     return t
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), scipy's expit formula: exactly 0.0 where exp(-x)
+    overflows (silently) and 1.0 where it is below half an ulp of 1."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -209,7 +215,7 @@ def _forward_core(
                 attn.append(a)
             del a
         y3 = y.reshape(f.shape[0], -1, d)  # (M, L, d) view
-        gamma = expit(np.einsum("mld,ld->lm", y3, c) + params.gates.b_g[:, None])  # (L, M)
+        gamma = _sigmoid(np.einsum("mld,ld->lm", y3, c) + params.gates.b_g[:, None])  # (L, M)
         z = np.multiply(y3, gamma.T[:, :, None], out=None if for_backward else y3)
         z = z.reshape(y.shape)
         h[...] = z @ p_fuse + params.fusion.b_f

@@ -657,13 +657,18 @@ class TestPipeline:
         assert "requires --data" in err
 
 
+def _fresh_python_env():
+    """The environment of a fresh interpreter that imports this fgpan."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fgpan.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("module", ["fgpan", "fgpan.cli"])
 def test_runs_as_a_module(module):
     """python -m fgpan and python -m fgpan.cli run the CLI: --help prints
     the usage and exits 0, no command exits 2."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fgpan.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _fresh_python_env()
     help_run = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
                               capture_output=True, text=True, timeout=60)
     assert help_run.returncode == 0, help_run.stderr
@@ -698,3 +703,15 @@ class TestProtoDist:
         assert code == 0
         # orthogonalized prototypes sit sqrt(2) apart
         assert stdout.strip().splitlines()[-1] == "1.414214"
+
+
+def test_imports_no_scipy():
+    """numpy is the one runtime dependency. Every CLI step is its own
+    process, and importing scipy.stats, scipy.special and
+    scipy.spatial added 65 MB and about 1 s to each."""
+    code = ("import sys, fgpan, fgpan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    fresh = subprocess.run([sys.executable, "-c", code], env=_fresh_python_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == "[]\n"

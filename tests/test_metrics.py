@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fgpan.metrics import (
     EvalRecord,
@@ -126,6 +128,27 @@ class TestAuroc:
         base = binary_auroc(scores, pos)
         assert binary_auroc(np.exp(5 * scores), pos) == base
         assert binary_auroc(scores**3 + 7, pos) == base
+
+    def test_nan_score_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            binary_auroc([0.9, np.nan, 0.1], [True, False, False])
+
+    @given(st.one_of(
+        st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]), min_size=2, max_size=40),
+        st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=2, max_size=40),
+        st.lists(st.floats(allow_nan=False), min_size=2, max_size=40),
+    ), st.data())
+    def test_equals_scipy_rank_sum_bitwise(self, scores, data):
+        """Heavy ties (3 to 5 distinct values) and continuous scores, signed
+        zeros and infinities included: the same float as the rank-sum formula
+        over scipy's midranks."""
+        rankdata = pytest.importorskip("scipy.stats").rankdata
+        pos = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                          max_size=len(scores))))
+        assume(pos.any() and not pos.all())
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        want = (rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+        assert binary_auroc(scores, pos).hex() == float(want).hex()
 
     def test_ovr_macro_mean(self):
         scores = [

@@ -200,16 +200,18 @@ class TestSchema:
         with pytest.raises(ValueError, match="leaf 'agg.w' holds a non-finite value"):
             p.with_flat(vec)
 
-    @pytest.mark.parametrize("log_tau", [709.0, -745.0])
+    @pytest.mark.parametrize("log_tau", [709.0, -708.39])
     def test_tau_at_the_edges_of_the_doubles(self, log_tau):
         p = init_params(4, 2, 1, seed=0)
         p.temp.log_tau = log_tau
         assert 0.0 < p.temp.tau < math.inf
 
-    @pytest.mark.parametrize("log_tau", [710.0, 800.0, 1e300, -746.0, -800.0, -1e300])
+    @pytest.mark.parametrize("log_tau", [710.0, 800.0, 1e300, -708.4, -745.0, -746.0, -800.0,
+                                         -1e300])
     def test_tau_out_of_range_names_log_tau(self, log_tau):
-        """exp(log_tau) overflowing or rounding to 0 is a named error, not an
-        OverflowError or a tau of 0."""
+        """exp(log_tau) overflowing, rounding to 0 or falling below the
+        smallest normal double is a named error, not an OverflowError or a
+        tau that overflows the scores."""
         p = init_params(4, 2, 1, seed=0)
         p.temp.log_tau = log_tau
         with pytest.raises(ValueError, match=re.escape(f"temp.log_tau = {log_tau!r}: tau = exp")):

@@ -130,6 +130,16 @@ class TestInterclassDistance:
         got = interclass_distance(pset_from_rows([a, b]))
         assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("c", range(2, 13))
+    def test_equals_scipy_pdist_mean(self, c):
+        pdist = pytest.importorskip("scipy.spatial.distance").pdist
+        rng = np.random.default_rng(c)
+        for d in (1, 2, 16, 100, 512):
+            rows = rng.standard_normal((c, d))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            want = pdist(rows).mean()
+            assert abs(interclass_distance(pset_from_rows(rows)) - want) <= 1e-14 * want
+
     def test_requires_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
             interclass_distance(pset_from_rows([[1.0, 0.0]]))

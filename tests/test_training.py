@@ -4,6 +4,7 @@ training loop."""
 import gc
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from fgpan.training import (
     _STACK_ROWS,
     TrainConfig,
     _central_difference,
+    _sigmoid,
     _stacks,
     adamw_step,
     desk_profile,
@@ -581,14 +583,41 @@ class TestNumericEdges:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_and_gradient_are_refused(self):
-        """A tau that is positive but tiny (log_tau -720) overflows the
-        scores: the loss is refused by name, not returned as NaN."""
+        """The largest finite lambda overflows the slide term: at tau = e^5
+        P is near uniform over 3 classes, so the slide cross entropy is about
+        log 3 > 1. The loss is refused by name, not returned as inf."""
         slides, pset, params = random_instance(1)
-        params.temp.log_tau = -720.0
+        params.temp.log_tau = 5.0
         with pytest.raises(ValueError, match="non-finite loss"):
-            total_loss(slides, params, pset, 1.0)
+            total_loss(slides, params, pset, sys.float_info.max)
         with pytest.raises(ValueError, match="non-finite loss"):
-            grad_total_loss(slides, params, pset, 1.0)
+            grad_total_loss(slides, params, pset, sys.float_info.max)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("log_tau", [-710.0, -720.0, -745.0])
+    def test_subnormal_tau_is_refused_by_name(self, log_tau):
+        """A positive tau below the smallest normal double would overflow
+        s / tau; every pass names temp.log_tau before any warning."""
+        slides, pset, params = random_instance(1)
+        params.temp.log_tau = log_tau
+        for run in (lambda: forward_slides(slides, params, pset),
+                    lambda: total_loss(slides, params, pset, 1.0),
+                    lambda: grad_total_loss(slides, params, pset, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"temp.log_tau = {log_tau!r}: ")):
+                run()
+
+
+class TestGateSigmoid:
+    @pytest.mark.filterwarnings("error")
+    def test_equals_scipy_expit(self):
+        """Within 1e-15 relative of scipy's expit over [-1000, 1000], exactly
+        0.0 and 1.0 at the ends, with no overflow warning."""
+        expit = pytest.importorskip("scipy.special").expit
+        x = np.concatenate([np.linspace(-1000.0, 1000.0, 400_001),
+                            [-745.2, -709.79, -708.4, -37.0, -0.0, 37.0, 709.79]])
+        got = _sigmoid(x)
+        np.testing.assert_allclose(got, expit(x), rtol=1e-15, atol=0.0)
+        assert got[0] == 0.0 and got[400_000] == 1.0
 
 
 class TestAdamW:
