@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _cell_keys
+
 __all__ = [
     "WindowLayout",
     "partition_coords",
@@ -78,9 +80,10 @@ def partition_coords(coords: np.ndarray, window_size: int) -> WindowLayout:
         raise ValueError("coords must have shape (M, 2)")
     tile = coords // s
     offs = coords % s
-    # row-major key: sorting it sorts tiles by (row, col)
-    span = int(tile[:, 1].max()) + 1 if len(tile) else 1
-    keys, window = np.unique(tile[:, 0] * span + tile[:, 1], return_inverse=True)
+    # row-major keys: sorting them sorts tiles by (row, col); the largest
+    # tile coordinate bounds both the row and the column
+    top = int(tile.max(initial=0))
+    keys, window = np.unique(_cell_keys(tile, top, top), return_inverse=True)
     n_win = keys.size
     slot = window * (s * s) + offs[:, 0] * s + offs[:, 1]
     mask = np.zeros(n_win * s * s, dtype=bool)
@@ -92,8 +95,10 @@ def partition_coords(coords: np.ndarray, window_size: int) -> WindowLayout:
     bias_index = (off_r[:, None] - off_r[None, :] + s - 1) * side + (
         off_c[:, None] - off_c[None, :] + s - 1
     )
+    first = np.empty(n_win, dtype=np.intp)
+    first[window] = np.arange(len(coords))  # a member of each window
     return WindowLayout(
-        tiles=np.stack([keys // span, keys % span], axis=1),
+        tiles=tile[first],
         window=window.reshape(-1),
         slot=slot,
         mask=mask.reshape(n_win, s * s),

@@ -48,6 +48,8 @@ __all__ = [
     "coarse_prototypes",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _parse_decimals(tokens: list, where: str, dtype=np.float64) -> np.ndarray:
     """Decimal text tokens (a list, or a list of equal-length rows) parsed
@@ -108,6 +110,20 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _cell_keys(coords: np.ndarray, max_r: int, max_c: int) -> np.ndarray:
+    """Row-major int64 keys of (M, 2) non-negative integer coordinates whose
+    largest row and column are max_r and max_c: equal keys are equal cells,
+    and sorting the keys sorts the cells by (row, col). Coordinates too
+    large for row * (max_c + 1) + col in int64 are replaced by their ranks,
+    which keep the order; only then does this sort."""
+    rows, cols = coords.T
+    span = max_c + 1
+    if max_r * span + max_c > _INT64_MAX:
+        rows, cols = (np.unique(v, return_inverse=True)[1] for v in coords.T)
+        span = len(coords)
+    return rows * span + cols
+
+
 class SlideRecord:
     """One slide as two column arrays, row i being patch i in file order:
     coords (M, 2) int64 grid positions and features (M, d) float64 patch
@@ -144,15 +160,8 @@ class SlideRecord:
                 first = tuple(coords[np.argmax(bad)].tolist())
                 raise ValueError(f"slide {slide_id!r}: {problem} {first}")
         max_r, max_c = coords.max(axis=0).tolist()
-        # row-major cell keys: the first duplicate key is the first duplicate
-        # cell in row-major order. Coordinates too large for such a key in
-        # int64 are replaced by their ranks, which keep the order.
-        rows, cols = coords.T
-        span = max_c + 1
-        if max_r * span + max_c > np.iinfo(np.int64).max:
-            rows, cols = (np.unique(v, return_inverse=True)[1] for v in coords.T)
-            span = len(coords)
-        keys = rows * span + cols
+        # the first duplicate key is the first duplicate cell in row-major order
+        keys = _cell_keys(coords, max_r, max_c)
         cells, counts = np.unique(keys, return_counts=True)
         if (counts > 1).any():
             first = tuple(coords[np.argmax(keys == cells[np.argmax(counts > 1)])].tolist())
@@ -279,7 +288,6 @@ class SyntheticConfig:
     grid_rows: int = 8
     grid_cols: int = 8
     seed: int = 0
-    orthogonal_prototypes: bool = True
 
     def __post_init__(self):
         if self.classes < 1 or self.slides_per_class < 1:
@@ -295,7 +303,7 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.patches_per_slide > self.grid_rows * self.grid_cols:
             raise ValueError("patches_per_slide exceeds grid capacity")
-        if self.orthogonal_prototypes and self.dim < self.classes:
+        if self.dim < self.classes:
             raise ValueError("orthogonal prototypes require dim >= classes")
 
 
@@ -462,23 +470,19 @@ def load_prototypes(path) -> PrototypeSet:
 def _class_directions(rng: np.random.Generator, cfg: SyntheticConfig):
     """Draw C class directions plus one background direction, all unit norm.
 
-    When the dimension allows, directions are orthogonalized so synthetic
-    classes are maximally separated and the background is uncorrelated.
+    The class directions are orthonormal (SyntheticConfig requires
+    dim >= classes), so synthetic classes are maximally separated; so is the
+    background when dim > classes, and otherwise it is a random unit vector.
     """
     c, d = cfg.classes, cfg.dim
     raw = rng.standard_normal((c + 1, d))
-    if cfg.orthogonal_prototypes and d >= c:
-        k = c + 1 if d >= c + 1 else c
-        q, r = np.linalg.qr(raw[:k].T)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        dirs = (q * signs).T
-        protos = dirs[:c]
-        background = dirs[c] if k == c + 1 else _unit(raw[c])
-    else:
-        protos = np.stack([_unit(v) for v in raw[:c]])
-        background = _unit(raw[c])
-    return protos, background
+    k = c + 1 if d >= c + 1 else c
+    q, r = np.linalg.qr(raw[:k].T)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    dirs = (q * signs).T
+    background = dirs[c] if k == c + 1 else _unit(raw[c])
+    return dirs[:c], background
 
 
 def _signal_block(rng: np.random.Generator, cfg: SyntheticConfig, n_sig: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from .aggregation import (
     table_embeddings,
 )
 from .attention import partition_coords, window_attention, window_attention_backward
-from .data import ClassPrototype, PrototypeSet, SlideRecord
+from .data import _INT64_MAX, ClassPrototype, PrototypeSet, SlideRecord, _cell_keys
 from .params import ModelParams, grad_zeros, init_params
 from .prototypes import _NORM_TOL
 
@@ -109,12 +109,20 @@ def paper_profile(**overrides) -> TrainConfig:
     return TrainConfig(**{"learning_rate": 1e-5, "iterations": 20000, **overrides})
 
 
-def _checked_proto_matrix(pset: PrototypeSet, dim: int) -> np.ndarray:
+def _checked_proto_matrix(pset: PrototypeSet, slides: list[SlideRecord],
+                          params: ModelParams) -> np.ndarray:
+    """The prototype matrix, after the checks each pass makes once per call:
+    the prototypes are normalized and as wide as the first slide, and every
+    slide is as wide as the params."""
     t = pset.matrix()
+    dim = slides[0].dim
     if pset.dim != dim:
         raise ValueError(f"prototype dim {pset.dim} does not match feature dim {dim}")
     if np.any(np.abs(np.linalg.norm(t, axis=1) - 1.0) > _NORM_TOL):
         raise ValueError("prototypes must be normalized before the forward pass")
+    for s in slides:
+        if s.dim != params.dim:
+            raise ValueError(f"slide dim {s.dim} does not match params dim {params.dim}")
     return t
 
 
@@ -137,7 +145,15 @@ def _stacked_grid(coords: np.ndarray, sizes: np.ndarray, s: int) -> np.ndarray:
     starts = np.cumsum(sizes) - sizes
     tiles = np.maximum.reduceat(coords[:, 0], starts) // s + 1
     shifted = coords.copy()
-    shifted[:, 0] += np.repeat(s * (np.cumsum(tiles) - tiles), sizes)
+    top = int(tiles.max())
+    if s * len(sizes) * top > _INT64_MAX:
+        # the bands would pass int64: each row's band is instead the rank
+        # of its (slide, tile row) pair, which keeps the bands in order
+        pairs = np.stack([np.repeat(np.arange(len(sizes)), sizes), coords[:, 0] // s], axis=1)
+        band = np.unique(_cell_keys(pairs, len(sizes) - 1, top - 1), return_inverse=True)[1]
+        shifted[:, 0] = band * s + coords[:, 0] % s
+    else:
+        shifted[:, 0] += np.repeat(s * (np.cumsum(tiles) - tiles), sizes)
     return shifted
 
 
@@ -416,10 +432,7 @@ def forward_slides(
     """
     if not slides:
         return []
-    t_mat = _checked_proto_matrix(pset, slides[0].dim)
-    for s in slides:
-        if s.dim != params.dim:
-            raise ValueError(f"slide dim {s.dim} does not match params dim {params.dim}")
+    t_mat = _checked_proto_matrix(pset, slides, params)
     fold = _fold(params) if lwa_gff else None
     out = []
     for stack in _stacks(slides):
@@ -465,7 +478,7 @@ def total_loss(
     if not slides:
         raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
-    t_mat = _checked_proto_matrix(pset, slides[0].dim)
+    t_mat = _checked_proto_matrix(pset, slides, params)
     fold = _fold(params) if lwa_gff else None
     total = 0.0
     for stack in _stacks(slides):
@@ -488,7 +501,7 @@ def grad_total_loss(
     if not slides:
         raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
-    t_mat = _checked_proto_matrix(pset, slides[0].dim)
+    t_mat = _checked_proto_matrix(pset, slides, params)
     fold = _fold(params) if lwa_gff else None
     d_fold = None if fold is None else tuple(np.zeros_like(x) for x in fold)
     grads = grad_zeros(params)
@@ -506,14 +519,40 @@ def grad_total_loss(
     return _finite(total / len(slides), grads), grads
 
 
-def _central_difference(fn, vec: np.ndarray, i: int, step: float) -> float:
-    """(fn(x + step e_i) - fn(x - step e_i)) / (2 step)."""
-    bumped = vec.copy()
-    bumped[i] = vec[i] + step
-    hi = fn(bumped)
-    bumped[i] = vec[i] - step
-    lo = fn(bumped)
-    return (hi - lo) / (2.0 * step)
+def _slope(loss_at, base: np.ndarray, v: np.ndarray, step: float) -> float:
+    """The derivative of loss_at along v at base: central differences at
+    step and step / 2, Richardson-extrapolated, which cancels their h^2
+    truncation terms."""
+
+    def central(h):
+        return (loss_at(base + h * v) - loss_at(base - h * v)) / (2.0 * h)
+
+    return (4.0 * central(step / 2) - central(step)) / 3.0
+
+
+def _directions(params: ModelParams, limit: int):
+    """(leaf name, unit direction in theta) pairs: every coordinate of
+    every leaf when theta has at most `limit` scalars; otherwise one random
+    direction within each leaf, so that small leaves such as log_tau are not
+    drowned out by large ones, and one over the whole of theta, named
+    "theta". The random directions are seeded, so a report is reproducible."""
+    n = params.n_scalars
+    rng = np.random.default_rng(0)
+    pos = 0
+    for name, leaf in params.leaves():
+        if n <= limit:
+            for i in range(pos, pos + leaf.size):
+                v = np.zeros(n)
+                v[i] = 1.0
+                yield name, v
+        else:
+            v = np.zeros(n)
+            v[pos:pos + leaf.size] = rng.standard_normal(leaf.size)
+            yield name, v / np.linalg.norm(v)
+        pos += leaf.size
+    if n > limit:
+        v = rng.standard_normal(n)
+        yield "theta", v / np.linalg.norm(v)
 
 
 def finite_diff_check(
@@ -521,37 +560,35 @@ def finite_diff_check(
     params: ModelParams,
     pset: PrototypeSet,
     lam: float,
-    step: float = 1e-4,
+    step: float = 1e-2,
     *,
     lwa_gff: bool = True,
     limit: int = 5000,
-) -> float:
-    """Max relative error between analytic and numeric gradients.
+) -> dict[str, float]:
+    """The worst relative error of the analytic gradient along each of
+    _directions(params, limit), per parameter leaf (and "theta" for the
+    direction over all of it), against finite differences of total_loss.
 
-    Every scalar is checked when there are at most `limit`; otherwise a
-    deterministic evenly spaced sample of `limit` scalars. The relative
-    error is |a - n| / max(1e-8, |a| + |n|).
-    """
+    The analytic derivative along a unit direction v is grads.theta . v;
+    the numeric one is _slope at `step`. The relative error is
+    |a - n| / max(1e-8, |a| + |n|). Per-scalar checks past `limit` would
+    take four loss passes per scalar (hours at the wsi-train shape), hence
+    the directional check there (a JVP check, Baydin et al.,
+    arXiv:1502.05767)."""
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     _, grads = grad_total_loss(slides, params, pset, lam, lwa_gff=lwa_gff)
-    analytic = grads.theta
     base = params.flatten()
-    n = base.size
-    if n <= limit:
-        indices = range(n)
-    else:
-        indices = np.unique(np.round(np.linspace(0, n - 1, limit)).astype(int))
 
     def loss_at(vec: np.ndarray) -> float:
         return total_loss(slides, params.with_flat(vec), pset, lam, lwa_gff=lwa_gff)
 
-    worst = 0.0
-    for i in indices:
-        numeric = _central_difference(loss_at, base, int(i), step)
-        a = analytic[i]
-        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        worst = max(worst, rel)
+    worst: dict[str, float] = {}
+    for name, v in _directions(params, limit):
+        a = float(grads.theta @ v)
+        numeric = _slope(loss_at, base, v, step)
+        rel = float(abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)))
+        worst[name] = max(worst.get(name, 0.0), rel)
     return worst
 
 

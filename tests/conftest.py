@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from fgpan.aggregation import sinusoidal_embeddings, table_embeddings
 from fgpan.attention import window_attention
@@ -122,3 +123,19 @@ def make_pset(rows):
 
 def make_slide(features, coords, label=0):
     return SlideRecord("s", label, coords, features)
+
+
+@st.composite
+def int64_coords(draw):
+    """Unique grid coordinates anywhere up to int64's maximum, in random
+    order: a few anchors, each with neighbours a few cells down and right
+    (clipped at the maximum), so that windows hold several patches."""
+    top = 2**63 - 1
+    anchors = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
+                            min_size=1, max_size=4))
+    cells = set()
+    for r, c in anchors:
+        for dr, dc in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                    min_size=1, max_size=6)):
+            cells.add((min(r + dr, top), min(c + dc, top)))
+    return np.array(draw(st.permutations(sorted(cells))), dtype=np.int64)

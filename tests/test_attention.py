@@ -7,22 +7,21 @@ from conftest import (
     dense_attention_reference,
     forward_cache,
     head_attention,
+    int64_coords,
     make_pset,
     make_slide,
     random_head,
     refinement_reference,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgpan.attention import partition_coords
 from fgpan.params import init_params
 from fgpan.training import (
-    _central_difference,
+    finite_diff_check,
     forward_slide,
-    grad_total_loss,
     random_instance,
-    total_loss,
 )
 
 
@@ -118,6 +117,21 @@ class TestPartition:
         assert [tuple(t) for t in layout.tiles.tolist()] == sorted(want)
         for w, tile in enumerate(layout.tiles.tolist()):
             assert window_members(layout, w).tolist() == want[tuple(tile)]
+
+    @given(int64_coords(), st.integers(1, 4))
+    @example(np.array([(0, 16), (16, 1), (0, 2**62)]), 2)
+    @example(np.array([(0, 16), (16, 0), (0, 2**62)]), 2)
+    def test_windows_up_to_int64_max(self, coords, s):
+        """Where a row-major tile key would pass int64, the windows are
+        still the brute-force grouping by (r // S, c // S), in row-major
+        tile order, with each patch at its offset."""
+        want = expected_windows(coords, s)
+        layout = partition_coords(coords, s)
+        assert [tuple(t) for t in layout.tiles.tolist()] == sorted(want)
+        for w, tile in enumerate(layout.tiles.tolist()):
+            assert window_members(layout, w).tolist() == want[tuple(tile)]
+        offs = coords % s
+        np.testing.assert_array_equal(layout.slot % (s * s), offs[:, 0] * s + offs[:, 1])
 
     @given(st.integers(1, 4))
     def test_bias_index_is_slot_displacement(self, s):
@@ -274,34 +288,11 @@ class TestLwaForward:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def attention_fd_error(slides, params, pset, lam, step=1e-2):
-    """finite_diff_check's relative error, max over the attention leaves
-    (every head's W_Q, W_K, W_V and bias table), against Richardson-
-    extrapolated central differences. At tau=0.07 the loss is sharply
-    curved, and some bias-table gradients are near 1e-8: a plain central
-    difference at step 1e-4 misses both by more than 1e-5 (truncation and
-    roundoff error of the difference itself), while extrapolating from
-    steps 1e-2 and 5e-3 resolves them."""
-    _, grads = grad_total_loss(slides, params, pset, lam)
-    analytic = grads.flatten()
-    base = params.flatten()
-
-    def loss_at(vec):
-        return total_loss(slides, params.with_flat(vec), pset, lam)
-
-    worst, pos = 0.0, 0
-    for name, arr in params.leaves():
-        if name.startswith("lwa."):
-            for i in range(pos, pos + arr.size):
-                # Richardson extrapolation cancels the h^2 truncation term
-                numeric = (
-                    4.0 * _central_difference(loss_at, base, i, step / 2)
-                    - _central_difference(loss_at, base, i, step)
-                ) / 3.0
-                a = analytic[i]
-                worst = max(worst, abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)))
-        pos += arr.size
-    return worst
+def attention_fd_error(slides, params, pset, lam):
+    """finite_diff_check's worst relative error over the attention leaves
+    (every head's W_Q, W_K, W_V and bias table)."""
+    report = finite_diff_check(slides, params, pset, lam)
+    return max(err for name, err in report.items() if name.startswith("lwa."))
 
 
 class TestWindowAttentionGradients:

@@ -688,6 +688,13 @@ class TestGradcheckCommand:
         err = re.fullmatch(r"max-rel-error: (\S+) tolerance: 1e-05", stdout.splitlines()[-1])
         assert 0 <= float(err.group(1)) <= 1e-5
 
+    @pytest.mark.parametrize("seed, pos_mode", [("7", "sin"), ("34", "sin"), ("34", "table")])
+    def test_passes_near_the_tolerance(self, capsys, seed, pos_mode):
+        """Correct gradients at seeds where a plain central difference at
+        step 1e-4 read 1.09e-5 to 1.14e-5."""
+        code, stdout, _ = run(["gradcheck", "--seed", seed, "--pos-mode", pos_mode], capsys)
+        assert code == 0, stdout.splitlines()[-1]
+
     def test_fails_over_tolerance(self, capsys):
         code, _, _ = run(["gradcheck", "--seed", "3", "--tolerance", "0"], capsys)
         assert code == 1

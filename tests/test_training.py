@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import forward_cache, make_pset
+from conftest import forward_cache, int64_coords, make_pset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from fgpan.params import grad_zeros, init_params
 from fgpan.training import (
     _STACK_ROWS,
     TrainConfig,
-    _central_difference,
+    _slope,
     _sigmoid,
     _stacks,
     adamw_step,
@@ -40,28 +40,9 @@ from fgpan.training import (
 )
 
 
-def assert_matches_oracle(slides, params, pset, lam=1.0, step=1e-4):
-    """Every gradient scalar against central differences.
-
-    At step 1e-4 the central-difference oracle resolves roughly 1e-12
-    absolute on an O(1) loss, so components whose true gradient sits near
-    zero cannot meet a relative bound; accept absolute agreement at the
-    oracle's noise floor for those.
-    """
-    _, grads = grad_total_loss(slides, params, pset, lam)
-    analytic = grads.flatten()
-    base = params.flatten()
-
-    def loss_at(vec):
-        return total_loss(slides, params.with_flat(vec), pset, lam)
-
-    for i in range(base.size):
-        numeric = _central_difference(loss_at, base, i, step)
-        a = analytic[i]
-        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        assert rel <= 1e-5 or abs(a - numeric) <= 1e-10, (
-            f"coordinate {i}: analytic {a:.6e}, numeric {numeric:.6e}"
-        )
+def worst_error(slides, params, pset, lam=1.0):
+    """The largest relative error in finite_diff_check's report."""
+    return max(finite_diff_check(slides, params, pset, lam).values())
 
 
 def tiny_corpus(classes=2, sigma=0.0, rho=1.0, m=9, d=8, seed=1, slides_per_class=2):
@@ -181,15 +162,29 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="unlabeled"):
             total_loss([bare], params, pset, 1.0)
 
+    @pytest.mark.parametrize("run", [
+        lambda sl, pa, ps: forward_slides(sl, pa, ps),
+        lambda sl, pa, ps: total_loss(sl, pa, ps, 1.0),
+        lambda sl, pa, ps: grad_total_loss(sl, pa, ps, 1.0),
+        lambda sl, pa, ps: train(sl, desk_profile(iterations=1), ps, params=pa),
+    ], ids=["forward_slides", "total_loss", "grad_total_loss", "train"])
+    def test_dim_mismatch_named(self, run):
+        """A slide wider than the params is refused by name in every pass,
+        not with numpy's matmul error."""
+        slides, pset, _ = random_instance(0, dim=8)
+        params = init_params(4, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="^slide dim 8 does not match params dim 4$"):
+            run(slides, params, pset)
+
 
 class TestGradients:
     def test_matches_finite_differences(self):
         slides, pset, params = random_instance(0)
-        assert finite_diff_check(slides, params, pset, 1.0, 1e-4) <= 1e-5
+        assert worst_error(slides, params, pset) <= 1e-5
 
     def test_matches_finite_differences_learned_table(self):
         slides, pset, params = random_instance(1, pos_mode="learned_table")
-        assert finite_diff_check(slides, params, pset, 1.0, 1e-4) <= 1e-5
+        assert worst_error(slides, params, pset) <= 1e-5
 
     @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
     def test_matches_finite_differences_at_randomized_point(self, pos_mode):
@@ -198,14 +193,14 @@ class TestGradients:
         slides, pset, params = random_instance(
             4, pos_mode=pos_mode, randomize_params=True
         )
-        assert_matches_oracle(slides, params, pset)
+        assert worst_error(slides, params, pset) <= 1e-5
 
     @pytest.mark.parametrize("tau", [1e-3, 10.0])
     @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
     def test_matches_finite_differences_at_extreme_tau(self, tau, pos_mode):
         slides, pset, params = random_instance(0, pos_mode=pos_mode)
         params.temp.log_tau = math.log(tau)
-        assert_matches_oracle(slides, params, pset)
+        assert worst_error(slides, params, pset) <= 1e-5
 
     @pytest.mark.parametrize("pos_mode", ["sinusoidal", "learned_table"])
     def test_matches_finite_differences_at_near_one_hot_alpha(self, pos_mode):
@@ -216,7 +211,39 @@ class TestGradients:
         for s in slides:
             cache = forward_cache(s.matrix(), s.coords(), params, pset.matrix())
             assert cache["alpha"].max() > 0.95
-        assert_matches_oracle(slides, params, pset)
+        assert worst_error(slides, params, pset) <= 1e-5
+
+    def test_resolves_small_gradients_at_lambda_0(self):
+        """An instance where a plain central difference at step 1e-4 read
+        2.0e-4 on correct gradients; the extrapolated stencil reads 4.2e-6."""
+        slides, pset, params = random_instance(
+            163, dim=3, window_size=2, heads=2, patches=3, grid_rows=2, grid_cols=5,
+            pos_mode="learned_table", randomize_params=True,
+        )
+        assert worst_error(slides, params, pset, lam=0.0) <= 1e-5
+
+    @pytest.mark.parametrize("dim", [8, 64], ids=["every_scalar", "directional"])
+    def test_planted_fault_is_named(self, monkeypatch, dim):
+        """One leaf's gradient scaled by 1.001 fails the check, and the
+        report's worst leaf is that one: at d=8 every scalar is checked, and
+        at d=64 (over finite_diff_check's 5000-scalar limit) one direction
+        per leaf and one over theta are."""
+        import fgpan.training as training
+
+        slides, pset, params = random_instance(0, dim=dim, randomize_params=True)
+        assert (params.n_scalars > 5000) == (dim == 64)
+        exact = training.grad_total_loss
+
+        def faulty(*args, **kwargs):
+            loss, grads = exact(*args, **kwargs)
+            grads.fusion.W_f = 1.001 * grads.fusion.W_f
+            return loss, grads
+
+        monkeypatch.setattr(training, "grad_total_loss", faulty)
+        report = finite_diff_check(slides, params, pset, 1.0)
+        assert ("theta" in report) == (dim == 64)
+        assert max(report, key=report.get) == "fusion.W_f"
+        assert report["fusion.W_f"] > 1e-5
 
     def test_finite_at_tiny_tau(self):
         """At tau = 1e-3 under randomized parameters p_slide[y] underflows to
@@ -258,14 +285,17 @@ class TestGradients:
                 np.testing.assert_array_equal(g, 0.0)
         assert np.any(grads["agg.w"] != 0.0) or np.any(grads["temp.log_tau"] != 0.0)
 
-    def test_central_difference_on_quadratic(self):
-        """The checker's own stencil: d/dx x^2 at 1 is 2 to high accuracy."""
+    def test_slope_on_quartic(self):
+        """The checker's own stencil: Richardson extrapolation cancels the
+        h^2 term of a central difference, which is all of its truncation
+        error on a quartic, so d/dx x^4 at 1 is 4 to rounding even at the
+        default step."""
 
         def f(vec):
-            return float(vec[0] ** 2)
+            return float(vec[0] ** 4)
 
-        got = _central_difference(f, np.array([1.0]), 0, 1e-4)
-        assert abs(got - 2.0) < 1e-7
+        got = _slope(f, np.array([1.0]), np.array([1.0]), 1e-2)
+        assert abs(got - 4.0) < 1e-12
 
     def test_zero_step_rejected(self):
         slides, pset, params = random_instance(5)
@@ -402,6 +432,27 @@ class TestForwardSlides:
         _, pset, params = random_instance(0)
         assert forward_slides([], params, pset) == []
 
+    @settings(max_examples=20)
+    @given(st.lists(int64_coords(), min_size=2, max_size=4), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    @example([np.array([(2**63 - 2, 0), (2**63 - 2, 1), (2**63 - 1, 0)])] * 3, 2, 0)
+    def test_stack_of_slides_near_int64_max(self, coords, s, seed):
+        """Slides whose coordinates reach int64's maximum, where the
+        stacked grid's bands would pass int64, share a stack and get what
+        each gets alone: the same windows, so p and alpha agree to 1e-12
+        relative."""
+        rng = np.random.default_rng(seed)
+        slides = [SlideRecord(f"s{j}", 0, c, rng.standard_normal((len(c), 4)))
+                  for j, c in enumerate(coords)]
+        assert len(_stacks(slides)) == 1
+        params = init_params(4, s, 2, seed=0)
+        params = params.with_flat(params.flatten() + 0.3 * rng.standard_normal(params.n_scalars))
+        pset = make_pset(np.eye(4)[:2])
+        for slide, (p, pred) in zip(slides, forward_slides(slides, params, pset)):
+            want_p, want = forward_slide(slide, params, pset)
+            for a, b in ((p, want_p), (pred.alpha, want.alpha)):
+                assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), slide.slide_id
+
     def test_fold_and_prototype_check_once_per_call(self, monkeypatch):
         """Eighty 16-row slides, two stacks, form the fold and check the
         prototypes once, not once per slide or per stack."""
@@ -428,12 +479,9 @@ class TestWsiScaleOracle:
         """The 1e-5 contract at the wsi-train shape: two 2048-row, d=256
         slides of a 64 x 64 grid, S=4, two heads, learned table, and
         theta = init + 0.02 N(0, 1) so the gates and aggregation carry
-        gradient. Per-scalar differences would take hours here, so the
-        check is directional: grads.theta . v against central differences
-        of the loss along v at steps 1e-2 and 5e-3, Richardson-
-        extrapolated, for one random unit direction within each leaf (so
-        that log_tau and b_g are not drowned out by the table) and one over
-        the whole of theta."""
+        gradient. Its 1.5M scalars are far past finite_diff_check's limit,
+        so the check is directional: one random unit direction within each
+        leaf and one over the whole of theta."""
         slides, pset = gen_synthetic(SyntheticConfig(
             classes=2, slides_per_class=1, patches_per_slide=2048, dim=256,
             grid_rows=64, grid_cols=64, seed=5,
@@ -442,30 +490,10 @@ class TestWsiScaleOracle:
         params = init_params(256, 4, 2, grid_rows=64, grid_cols=64, seed=0,
                              pos_mode="learned_table")
         rng = np.random.default_rng(0)
-        base = params.flatten() + 0.02 * rng.standard_normal(params.n_scalars)
-        params = params.with_flat(base)
-        _, grads = grad_total_loss(slides, params, pset, 1.0)
-
-        directions = {}
-        pos = 0
-        for name, arr in params.leaves():
-            v = np.zeros(params.n_scalars)
-            v[pos:pos + arr.size] = rng.standard_normal(arr.size)
-            directions[name] = v
-            pos += arr.size
-        directions["theta"] = rng.standard_normal(params.n_scalars)
-
-        def slope(v, h):
-            hi = total_loss(slides, params.with_flat(base + h * v), pset, 1.0)
-            lo = total_loss(slides, params.with_flat(base - h * v), pset, 1.0)
-            return (hi - lo) / (2.0 * h)
-
-        for name, v in directions.items():
-            v /= np.linalg.norm(v)
-            analytic = float(grads.theta @ v)
-            numeric = (4.0 * slope(v, 5e-3) - slope(v, 1e-2)) / 3.0
-            rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            assert rel <= 1e-5, (name, analytic, numeric, rel)
+        params = params.with_flat(params.flatten() + 0.02 * rng.standard_normal(params.n_scalars))
+        report = finite_diff_check(slides, params, pset, 1.0)
+        assert list(report) == [name for name, _ in params.leaves()] + ["theta"]
+        assert max(report.values()) <= 1e-5, report
 
 
 def _traced_peak(fn) -> int:
