@@ -15,7 +15,7 @@ from .params import AggregationParams
 __all__ = [
     "SlidePrediction",
     "sinusoidal_embeddings",
-    "table_embeddings",
+    "table_rows",
 ]
 
 
@@ -59,10 +59,10 @@ def sinusoidal_embeddings(coords: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def table_embeddings(coords: np.ndarray, params: AggregationParams) -> np.ndarray:
-    """Rows of the learned table at row * grid_cols + col."""
+def table_rows(coords: np.ndarray, params: AggregationParams) -> np.ndarray:
+    """The learned table's row of each patch, row * grid_cols + col: the
+    forward gathers phi from these rows and the backward adds into them."""
     coords = np.asarray(coords)
     if coords[:, 0].max() >= params.grid_rows or coords[:, 1].max() >= params.grid_cols:
         raise ValueError("coordinate outside the learned positional table's grid")
-    flat = coords[:, 0] * params.grid_cols + coords[:, 1]
-    return params.table[flat]
+    return coords[:, 0] * params.grid_cols + coords[:, 1]

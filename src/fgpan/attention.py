@@ -1,12 +1,14 @@
 """Local window attention: spatial tiling plus per-window self-attention
 with a relative positional bias.
 
-Patches are tiled into non-overlapping S x S windows by integer division of
-their grid coordinates. Each window is padded to S^2 slots ordered by the
-in-window offset, and one batched softmax runs over all windows of a head;
-empty key slots are masked out with a -inf logit and the rows of empty
-query slots are dropped, so attention runs over the real members of each
-window only (as in Swin Transformer, arXiv:2103.14030). The bias is a
+Patches are tiled into non-overlapping S x S windows by floor division of
+their grid coordinates; a window is one group of a sort by (slide, tile
+row, tile col), so the slides of a stack never share one. Each window is
+padded to S^2 slots ordered by the in-window offset, and one batched
+softmax runs over all windows of a head; empty key slots are masked out
+with a -inf logit and the rows of empty query slots are dropped, so
+attention runs over the real members of each window only (as in Swin
+Transformer, arXiv:2103.14030). The bias is a
 per-head (2S-1) x (2S-1) table indexed by the relative (row, col)
 displacement of the query patch minus the key patch, added to Q K^T before
 the sqrt(d) scaling.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _cell_keys
+from .data import _groups, _int64
 
 __all__ = [
     "WindowLayout",
@@ -38,8 +40,8 @@ __all__ = [
 class WindowLayout:
     """Where each patch sits in the padded (n_windows, S^2) window grid.
 
-    tiles: (n_windows, 2) tile coordinates (row // S, col // S), row-major,
-        empty tiles omitted.
+    tiles: (n_windows, 2) tile coordinates (row // S, col // S), row-major
+        (slide by slide in a stack), empty tiles omitted.
     window: (M,) window index of each patch.
     slot: (M,) flat padded slot, window * S^2 + (row % S) * S + (col % S).
     mask: (n_windows, S^2) True where a slot holds a patch.
@@ -70,21 +72,24 @@ class WindowLayout:
         return x.reshape(-1, x.shape[2])[self.slot]
 
 
-def partition_coords(coords: np.ndarray, window_size: int) -> WindowLayout:
-    """Tile patches into non-overlapping S x S windows by coords // S."""
+def partition_coords(coords: np.ndarray, window_size: int, sizes=None) -> WindowLayout:
+    """Tile patches into non-overlapping S x S windows by coords // S, in
+    row-major tile order. sizes, when given, splits the rows into the slides
+    of a stack, sizes[j] rows for slide j: the windows are then each slide's
+    own in turn, so none spans two slides."""
     if window_size < 1:
         raise ValueError("window size must be >= 1")
     s = window_size
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = _int64(coords, "coords")
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("coords must have shape (M, 2)")
     tile = coords // s
     offs = coords % s
-    # row-major keys: sorting them sorts tiles by (row, col); the largest
-    # tile coordinate bounds both the row and the column
-    top = int(tile.max(initial=0))
-    keys, window = np.unique(_cell_keys(tile, top, top), return_inverse=True)
-    n_win = keys.size
+    keys = (tile[:, 1], tile[:, 0])
+    if sizes is not None:
+        keys += (np.repeat(np.arange(len(sizes)), sizes),)
+    window, first = _groups(*keys)
+    n_win = len(first)
     slot = window * (s * s) + offs[:, 0] * s + offs[:, 1]
     mask = np.zeros(n_win * s * s, dtype=bool)
     mask[slot] = True
@@ -95,11 +100,9 @@ def partition_coords(coords: np.ndarray, window_size: int) -> WindowLayout:
     bias_index = (off_r[:, None] - off_r[None, :] + s - 1) * side + (
         off_c[:, None] - off_c[None, :] + s - 1
     )
-    first = np.empty(n_win, dtype=np.intp)
-    first[window] = np.arange(len(coords))  # a member of each window
     return WindowLayout(
         tiles=tile[first],
-        window=window.reshape(-1),
+        window=window,
         slot=slot,
         mask=mask.reshape(n_win, s * s),
         bias_index=bias_index,

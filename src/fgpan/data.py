@@ -48,9 +48,6 @@ __all__ = [
     "coarse_prototypes",
 ]
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _parse_decimals(tokens: list, where: str, dtype=np.float64) -> np.ndarray:
     """Decimal text tokens (a list, or a list of equal-length rows) parsed
     in one call; each value is what float() (or int(), for an integer
@@ -110,18 +107,33 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def _cell_keys(coords: np.ndarray, max_r: int, max_c: int) -> np.ndarray:
-    """Row-major int64 keys of (M, 2) non-negative integer coordinates whose
-    largest row and column are max_r and max_c: equal keys are equal cells,
-    and sorting the keys sorts the cells by (row, col). Coordinates too
-    large for row * (max_c + 1) + col in int64 are replaced by their ranks,
-    which keep the order; only then does this sort."""
-    rows, cols = coords.T
-    span = max_c + 1
-    if max_r * span + max_c > _INT64_MAX:
-        rows, cols = (np.unique(v, return_inverse=True)[1] for v in coords.T)
-        span = len(coords)
-    return rows * span + cols
+def _groups(*keys: np.ndarray):
+    """Rows grouped by equal integer keys, in np.lexsort's order (the last
+    key first). Returns each row's group index and each group's first row.
+    The sort compares the values themselves, so no key can overflow."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    group = np.empty_like(order)
+    group[order] = new.cumsum() - 1
+    return group, order[new]
+
+
+def _int64(values, where: str) -> np.ndarray:
+    """values as an int64 array, itself if it is one. A value int64 cannot
+    hold, which a cast would wrap (uint64) or overflow (a Python int),
+    raises ValueError naming it as given."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64, copy=False)
+    given = np.asarray(values, dtype=object)  # exact Python numbers
+    try:
+        return given.astype(np.int64)
+    except OverflowError:
+        big = next(v for v in given.flat if not -(1 << 63) <= v < 1 << 63)
+        raise ValueError(f"{where}: coordinate {big} does not fit in int64") from None
 
 
 class SlideRecord:
@@ -151,7 +163,7 @@ class SlideRecord:
                 f"slide {slide_id!r}: coords must be an (M, 2) integer array for "
                 f"M={features.shape[0]} feature rows, got {coords.dtype} {coords.shape}"
             )
-        coords = coords.astype(np.int64, copy=False)
+        coords = _int64(coords, f"slide {slide_id!r}")
         for bad, problem in (
             (~np.isfinite(features).all(axis=1), "non-finite value at"),
             ((coords < 0).any(axis=1), "negative coordinate"),
@@ -160,12 +172,11 @@ class SlideRecord:
                 first = tuple(coords[np.argmax(bad)].tolist())
                 raise ValueError(f"slide {slide_id!r}: {problem} {first}")
         max_r, max_c = coords.max(axis=0).tolist()
-        # the first duplicate key is the first duplicate cell in row-major order
-        keys = _cell_keys(coords, max_r, max_c)
-        cells, counts = np.unique(keys, return_counts=True)
-        if (counts > 1).any():
-            first = tuple(coords[np.argmax(keys == cells[np.argmax(counts > 1)])].tolist())
-            raise ValueError(f"slide {slide_id!r}: duplicate coordinate {first}")
+        # groups are in row-major order: the first shared one is the first duplicate
+        cell, first = _groups(coords[:, 1], coords[:, 0])
+        if len(first) < len(coords):
+            dup = tuple(coords[first[np.argmax(np.bincount(cell) > 1)]].tolist())
+            raise ValueError(f"slide {slide_id!r}: duplicate coordinate {dup}")
         self.grid_rows = max_r + 1 if grid_rows is None else int(grid_rows)
         self.grid_cols = max_c + 1 if grid_cols is None else int(grid_cols)
         if max_r >= self.grid_rows or max_c >= self.grid_cols:

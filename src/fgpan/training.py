@@ -24,8 +24,8 @@ at large d runs slower than the three-projection form did (README,
 
 forward_slides, total_loss and grad_total_loss run a batch as stacks:
 consecutive slides whose rows together fit in _STACK_ROWS share one forward
-(and one backward) over their concatenated rows, each slide moved to its
-own band of the window grid so no window spans two slides. Only the
+(and one backward) over their concatenated rows. The window partition
+groups rows by (slide, tile), so no window spans two slides. Only the
 aggregation softmax, the slide distribution and the cross entropies are
 taken slide by slide. A slide's results from a shared stack agree with its
 own forward to rounding: the row count of a product can change its last
@@ -40,10 +40,10 @@ import numpy as np
 from .aggregation import (
     SlidePrediction,
     sinusoidal_embeddings,
-    table_embeddings,
+    table_rows,
 )
 from .attention import partition_coords, window_attention, window_attention_backward
-from .data import _INT64_MAX, ClassPrototype, PrototypeSet, SlideRecord, _cell_keys
+from .data import ClassPrototype, PrototypeSet, SlideRecord
 from .params import ModelParams, grad_zeros, init_params
 from .prototypes import _NORM_TOL
 
@@ -138,25 +138,6 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
     return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
 
 
-def _stacked_grid(coords: np.ndarray, sizes: np.ndarray, s: int) -> np.ndarray:
-    """Stacked grid coordinates with each slide's rows moved past the
-    previous slide's by a multiple of s, so no S x S window spans two slides
-    and coords % s (the in-window offset) is unchanged."""
-    starts = np.cumsum(sizes) - sizes
-    tiles = np.maximum.reduceat(coords[:, 0], starts) // s + 1
-    shifted = coords.copy()
-    top = int(tiles.max())
-    if s * len(sizes) * top > _INT64_MAX:
-        # the bands would pass int64: each row's band is instead the rank
-        # of its (slide, tile row) pair, which keeps the bands in order
-        pairs = np.stack([np.repeat(np.arange(len(sizes)), sizes), coords[:, 0] // s], axis=1)
-        band = np.unique(_cell_keys(pairs, len(sizes) - 1, top - 1), return_inverse=True)[1]
-        shifted[:, 0] = band * s + coords[:, 0] % s
-    else:
-        shifted[:, 0] += np.repeat(s * (np.cumsum(tiles) - tiles), sizes)
-    return shifted
-
-
 def _fold(params: ModelParams):
     """The d x d products the refinement stage runs on: mq = [M_0 | M_1 ...]
     (d, L d) with M_l = W_Q^l W_K^l^T, the stacked fusion P (L d, d) with
@@ -204,21 +185,22 @@ def _forward_core(
     [H || phi] is built once and h, phi are views of its halves; h_hat is
     not kept (the backward recomputes it as h / h_norm); y = [Y_0 | Y_1 ...]
     and z = [gamma_0 Y_0 | gamma_1 Y_1 ...] are (M, L d), and attn holds
-    each head's attention weights. A pass with no backward after it
-    (for_backward False) keeps none of these: it gates y in place and
-    frees each head's weights once its Y_l is formed.
+    each head's attention weights; table_rows holds the learned table's
+    row of each patch, which the backward adds into. A pass with no
+    backward after it (for_backward False) keeps none of these: it gates y
+    in place and frees each head's weights once its Y_l is formed.
     """
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
-    cache: dict = {"f": f, "coords": coords, "fold": fold, "sizes": sizes, "bounds": bounds}
+    cache: dict = {"f": f, "fold": fold, "sizes": sizes, "bounds": bounds}
     d = params.dim
     u_in = np.empty((f.shape[0], 2 * d))
     h, phi = u_in[:, :d], u_in[:, d:]
     if fold is not None:
         mq, p_fuse, c = fold
         s_win = params.window_size
-        layout = partition_coords(_stacked_grid(coords, sizes, s_win), s_win)
+        layout = partition_coords(coords, s_win, sizes)
         f_pad = layout.pad(f)  # shared by every head
         y = np.empty((f.shape[0], mq.shape[1]))
         attn = []
@@ -255,7 +237,8 @@ def _forward_core(
     if params.agg.positional_mode == "sinusoidal":
         phi[...] = sinusoidal_embeddings(coords, d)
     else:
-        phi[...] = table_embeddings(coords, params.agg)
+        cache["table_rows"] = rows = table_rows(coords, params.agg)
+        phi[...] = params.agg.table[rows]
     u = u_in @ params.agg.w
     alpha = np.empty_like(u)
     log_alpha = np.empty_like(u)
@@ -337,13 +320,12 @@ def _backward_core(
     del cache["u_in"], cache["h"], cache["phi"]
     dh += du[:, None] * params.agg.w[None, :d]
     if params.agg.positional_mode == "learned_table":
-        coords = cache["coords"]
-        flat = coords[:, 0] * params.agg.grid_cols + coords[:, 1]
+        rows = cache["table_rows"]
         d_phi = du[:, None] * params.agg.w[None, d:]
         for lo, hi in cache["bounds"]:
             # an indexed += adds a repeated cell only once: a slide's
             # cells are distinct, a stack's need not be
-            grads.agg.table[flat[lo:hi]] += d_phi[lo:hi]
+            grads.agg.table[rows[lo:hi]] += d_phi[lo:hi]
         del d_phi
 
     if cache["fold"] is None:

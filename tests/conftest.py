@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from fgpan.aggregation import sinusoidal_embeddings, table_embeddings
+from fgpan.aggregation import sinusoidal_embeddings, table_rows
 from fgpan.attention import window_attention
 from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
 from fgpan.params import AttentionHeadParams
@@ -71,7 +71,7 @@ def refinement_reference(features, coords, params):
     if params.agg.positional_mode == "sinusoidal":
         phi = sinusoidal_embeddings(coords, d)
     else:
-        phi = table_embeddings(coords, params.agg)
+        phi = params.agg.table[table_rows(coords, params.agg)]
     u = np.array([float(np.concatenate([h[i], phi[i]]) @ params.agg.w) for i in range(m)])
     e = np.exp(u - u.max())
     return h, e / e.sum()

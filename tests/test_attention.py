@@ -133,6 +133,46 @@ class TestPartition:
         offs = coords % s
         np.testing.assert_array_equal(layout.slot % (s * s), offs[:, 0] * s + offs[:, 1])
 
+    @given(int64_coords(), st.integers(1, 4),
+           st.tuples(st.integers(-2**63, 0), st.integers(-2**63, 0)))
+    @example(np.array([(1, 0), (0, 2)]), 1, (0, -1))
+    def test_negative_coordinates_group_by_floor_division(self, coords, s, shift):
+        """Coordinates anywhere down to int64's minimum are grouped as the
+        brute force groups them, by (r // S, c // S) with floor division,
+        in row-major tile order, each patch at its offset coords mod S."""
+        coords = coords + np.array(shift, dtype=np.int64)
+        want = expected_windows(coords, s)
+        layout = partition_coords(coords, s)
+        assert [tuple(t) for t in layout.tiles.tolist()] == sorted(want)
+        for w, tile in enumerate(layout.tiles.tolist()):
+            assert window_members(layout, w).tolist() == want[tuple(tile)]
+        offs = coords % s
+        np.testing.assert_array_equal(layout.slot % (s * s), offs[:, 0] * s + offs[:, 1])
+
+    @pytest.mark.parametrize(
+        "coords", [[(2**63, 0), (0, 0)], np.array([(2**63, 0), (0, 0)], dtype=np.uint64)],
+        ids=["list", "uint64"],
+    )
+    def test_coordinate_past_int64_named(self, coords):
+        with pytest.raises(ValueError, match="coordinate 9223372036854775808 does not fit"):
+            partition_coords(coords, 2)
+
+    @given(st.lists(int64_coords(), min_size=1, max_size=4), st.integers(1, 4))
+    def test_stack_layout_is_each_slides_in_turn(self, slides, s):
+        """A stack's layout is each slide's own layout placed after the
+        previous slides' layouts: windows and slots offset by the windows
+        before, masks stacked, tiles concatenated."""
+        stacked = partition_coords(np.concatenate(slides), s, [len(c) for c in slides])
+        alone = [partition_coords(c, s) for c in slides]
+        before = np.cumsum([0] + [layout.n_windows for layout in alone])
+        for name, shift in (("window", 1), ("slot", s * s)):
+            want = [getattr(layout, name) + b * shift for layout, b in zip(alone, before)]
+            np.testing.assert_array_equal(getattr(stacked, name), np.concatenate(want))
+        for name in ("mask", "tiles"):
+            want = np.concatenate([getattr(layout, name) for layout in alone])
+            np.testing.assert_array_equal(getattr(stacked, name), want)
+        np.testing.assert_array_equal(stacked.bias_index, alone[0].bias_index)
+
     @given(st.integers(1, 4))
     def test_bias_index_is_slot_displacement(self, s):
         """One (S^2, S^2) index maps slot pairs to their relative offset."""

@@ -60,6 +60,11 @@ class TestSlideInvariants:
         with pytest.raises(ValueError, match=r"negative coordinate \(-1, 0\)"):
             SlideRecord("s", 0, [(-1, 0)], [[1.0]])
 
+    def test_coordinate_past_int64_named(self):
+        """A uint64 coordinate int64 cannot hold is named as given, not wrapped."""
+        with pytest.raises(ValueError, match="coordinate 9223372036854775808 does not fit"):
+            SlideRecord("s", 0, np.array([[2**63, 0]], dtype=np.uint64), [[1.0]])
+
     def test_dim_mismatch_rejected(self):
         """A feature vector without its d axis is not an (M, d) matrix."""
         with pytest.raises(ValueError, match=r"features must be an \(M, d\) array"):
