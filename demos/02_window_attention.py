@@ -4,9 +4,9 @@
 import numpy as np
 
 from fgpan import (
-    AttentionHeadParams,
     SyntheticConfig,
     gen_synthetic,
+    init_params,
     partition_coords,
     window_attention,
 )
@@ -30,15 +30,12 @@ for w, (tile, occupied) in enumerate(zip(layout.tiles.tolist(), layout.mask)):
 
 rng = np.random.default_rng(0)
 d = slide.dim
-heads = [
-    AttentionHeadParams(
-        rng.standard_normal((d, d)) / np.sqrt(d),
-        rng.standard_normal((d, d)) / np.sqrt(d),
-        rng.standard_normal((d, d)) / np.sqrt(d),
-        rng.standard_normal((2 * S - 1, 2 * S - 1)) * 0.1,
-    )
-    for _ in range(2)
-]
+heads = init_params(d, S, 2).lwa.heads
+for h in heads:
+    h.W_Q = rng.standard_normal((d, d)) / np.sqrt(d)
+    h.W_K = rng.standard_normal((d, d)) / np.sqrt(d)
+    h.W_V = rng.standard_normal((d, d)) / np.sqrt(d)
+    h.bias_table = rng.standard_normal((2 * S - 1, 2 * S - 1)) * 0.1
 
 # The kernel takes each head re-associated: the logits (f W_Q)(f W_K)^T are
 # (f M) f^T with M = W_Q W_K^T, and it returns Y = A f, whose product with

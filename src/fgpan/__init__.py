@@ -35,13 +35,7 @@ from .metrics import (
     f1_scores,
 )
 from .params import (
-    AggregationParams,
-    AttentionHeadParams,
-    FusionParams,
-    GateParams,
-    LwaParams,
     ModelParams,
-    TemperatureParam,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import AggregationParams
-
 __all__ = [
     "SlidePrediction",
     "sinusoidal_embeddings",
@@ -59,9 +57,10 @@ def sinusoidal_embeddings(coords: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def table_rows(coords: np.ndarray, params: AggregationParams) -> np.ndarray:
-    """The learned table's row of each patch, row * grid_cols + col: the
-    forward gathers phi from these rows and the backward adds into them."""
+def table_rows(coords: np.ndarray, params) -> np.ndarray:
+    """The learned table's row of each patch, row * grid_cols + col, for a
+    model's agg group params: the forward gathers phi from these rows and
+    the backward adds into them."""
     coords = np.asarray(coords)
     if coords[:, 0].max() >= params.grid_rows or coords[:, 1].max() >= params.grid_cols:
         raise ValueError("coordinate outside the learned positional table's grid")

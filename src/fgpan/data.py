@@ -123,17 +123,19 @@ def _groups(*keys: np.ndarray):
 
 
 def _int64(values, where: str) -> np.ndarray:
-    """values as an int64 array, itself if it is one. A value int64 cannot
+    """values as an int64 array, itself if it is one. A value that is not
+    an integer, which a cast would truncate (0.5), or that int64 cannot
     hold, which a cast would wrap (uint64) or overflow (a Python int),
     raises ValueError naming it as given."""
     if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
         return values.astype(np.int64, copy=False)
     given = np.asarray(values, dtype=object)  # exact Python numbers
-    try:
-        return given.astype(np.int64)
-    except OverflowError:
-        big = next(v for v in given.flat if not -(1 << 63) <= v < 1 << 63)
-        raise ValueError(f"{where}: coordinate {big} does not fit in int64") from None
+    for v in given.flat:
+        if not v % 1 == 0:
+            raise ValueError(f"{where}: coordinate {v} is not an integer")
+        if not -(1 << 63) <= v < 1 << 63:
+            raise ValueError(f"{where}: coordinate {v} does not fit in int64")
+    return given.astype(np.int64)
 
 
 class SlideRecord:

@@ -5,9 +5,10 @@ _schema is the only place the parameters are written down: each leaf's
 name, shape, place in the flat order and weight-decay membership. A
 ModelParams owns one contiguous float64 vector theta laid out by that
 schema, and every leaf is a reshaped view into it. The groups (lwa with its
-attention heads, gates, fusion, temp, agg) bundle those views by name.
-Assigning a group's leaf attribute copies the value into its view, and any
-other assignment raises, so no leaf ever holds its values outside theta. A
+attention heads, gates, fusion, temp, agg) are built from the schema's
+names: "lwa.h0.W_Q" is params.lwa.heads[0].W_Q. Assigning a group's leaf
+attribute copies the value into its view, and any other assignment raises,
+so no leaf ever holds its values outside theta. A
 gradient is a ModelParams of the same schema, accumulated through the same
 views, so the optimizer works on two flat vectors.
 
@@ -34,12 +35,6 @@ from .rowtext import reader, row_texts
 
 __all__ = [
     "ModelParams",
-    "AttentionHeadParams",
-    "LwaParams",
-    "GateParams",
-    "FusionParams",
-    "TemperatureParam",
-    "AggregationParams",
     "init_params",
     "grad_zeros",
     "save_checkpoint",
@@ -96,122 +91,39 @@ def _decay_mask(**dims) -> np.ndarray:
     return mask
 
 
-class _Leaf:
-    """A leaf attribute of a parameter group. Reading gives the leaf's view
-    (None for a leaf this model does not have); assigning copies the value
-    into that view, so the leaf stays part of theta."""
+class _Group:
+    """Named leaf views and fixed fields, as plain attributes (a field is
+    replaced by a view of the same name). Assigning a leaf copies the value
+    into its view; assigning any attribute the object it already holds (as
+    an in-place operator such as `grads.theta *= c` does) is a no-op; any
+    other assignment raises."""
 
-    def __set_name__(self, owner, name):
-        self.name = name
+    def __init__(self, views: dict, **fields):
+        vars(self).update(fields, _views=views, **views)
 
-    def __get__(self, group, owner=None):
-        return self if group is None else group._views.get(self.name)
-
-    def __set__(self, group, value):
-        view = group._views.get(self.name)
+    def __setattr__(self, name, value):
+        if name in vars(self) and vars(self)[name] is value:
+            return
+        view = self._views.get(name)
         if view is None:
-            raise AttributeError(f"this model has no {self.name} leaf")
+            raise AttributeError(f"this model has no {name} leaf")
         value = np.asarray(value, dtype=np.float64)
         if value.shape != view.shape:
-            raise ValueError(f"{self.name} must have shape {view.shape}, got {value.shape}")
+            raise ValueError(f"{name} must have shape {view.shape}, got {value.shape}")
         view[...] = value
 
 
-class _ScalarLeaf(_Leaf):
-    """A one-element leaf read and assigned as a Python float."""
+class _Temperature(_Group):
+    """Softmax temperature stored as log_tau, read and assigned as a Python
+    float, so tau = exp(log_tau) > 0 by construction; the gradient flows
+    through the exponential."""
 
-    def __get__(self, group, owner=None):
-        return self if group is None else float(group._views[self.name][0])
-
-    def __set__(self, group, value):
-        group._views[self.name][0] = float(value)
-
-
-class _Group:
-    """Named leaf views. Only leaf attributes can be assigned; assigning
-    any attribute the object it already holds (as an in-place operator
-    such as `grads.theta *= c` does) is a no-op."""
-
-    __slots__ = ("_views",)
-
-    @classmethod
-    def _over(cls, views: dict, **fields):
-        group = cls.__new__(cls)
-        object.__setattr__(group, "_views", views)
-        for key, value in fields.items():
-            object.__setattr__(group, key, value)
-        return group
+    @property
+    def log_tau(self) -> float:
+        return float(self._views["log_tau"][0])
 
     def __setattr__(self, name, value):
-        if hasattr(self, name) and value is getattr(self, name):
-            return
-        if not isinstance(getattr(type(self), name, None), _Leaf):
-            raise AttributeError(f"{type(self).__name__}.{name} is not a parameter leaf")
-        object.__setattr__(self, name, value)
-
-
-class AttentionHeadParams(_Group):
-    """One attention head: d x d projections and the (2S-1) x (2S-1)
-    relative positional bias table."""
-
-    __slots__ = ()
-    W_Q = _Leaf()
-    W_K = _Leaf()
-    W_V = _Leaf()
-    bias_table = _Leaf()
-
-    def __init__(self, W_Q, W_K, W_V, bias_table):
-        """A standalone head over float64 copies of the four arrays."""
-        views = dict(W_Q=W_Q, W_K=W_K, W_V=W_V, bias_table=bias_table)
-        views = {k: np.array(v, dtype=np.float64) for k, v in views.items()}
-        *projections, table = views.values()
-        d, side = projections[0].shape[0], table.shape[0]
-        if any(w.shape != (d, d) for w in projections):
-            raise ValueError(f"W_Q, W_K and W_V must be square of shape ({d}, {d})")
-        if table.shape != (side, side) or side % 2 == 0:
-            raise ValueError("bias_table must be square with odd side 2S-1")
-        if not all(np.isfinite(v).all() for v in views.values()):
-            raise ValueError("attention head contains non-finite values")
-        object.__setattr__(self, "_views", views)
-
-    @property
-    def dim(self) -> int:
-        return self.W_Q.shape[0]
-
-    @property
-    def window_size(self) -> int:
-        return (self.bias_table.shape[0] + 1) // 2
-
-
-class LwaParams(_Group):
-    """The attention heads of the refinement stage, as a tuple: a head
-    changes through its leaves, never by rebinding heads[l]."""
-
-    __slots__ = ("heads",)
-
-
-class GateParams(_Group):
-    """Per-head gate weights w_g (L, d) and biases b_g (L,)."""
-
-    __slots__ = ()
-    w_g = _Leaf()
-    b_g = _Leaf()
-
-
-class FusionParams(_Group):
-    """Affine projection W_f (d, d), b_f (d,) of the gated-head sum."""
-
-    __slots__ = ()
-    W_f = _Leaf()
-    b_f = _Leaf()
-
-
-class TemperatureParam(_Group):
-    """Softmax temperature stored as log_tau, so tau = exp(log_tau) > 0 by
-    construction; the gradient flows through the exponential."""
-
-    __slots__ = ()
-    log_tau = _ScalarLeaf()
+        super().__setattr__(name, [float(value)] if name == "log_tau" else value)
 
     @property
     def tau(self) -> float:
@@ -230,15 +142,6 @@ class TemperatureParam(_Group):
         return tau
 
 
-class AggregationParams(_Group):
-    """Projection vector w (length 2d) plus the positional embedding
-    choice; table, (grid_rows * grid_cols, d), is None in sinusoidal mode."""
-
-    __slots__ = ("positional_mode", "grid_rows", "grid_cols")
-    w = _Leaf()
-    table = _Leaf()
-
-
 class ModelParams(_Group):
     """Every learnable tensor of the pipeline, as views into theta.
 
@@ -246,8 +149,6 @@ class ModelParams(_Group):
     a float64 theta is used as given, not copied. grid_rows and grid_cols
     are kept in learned_table mode only.
     """
-
-    __slots__ = ("theta", "_dims", "lwa", "gates", "fusion", "temp", "agg")
 
     def __init__(self, theta, *, dim, window_size, heads, pos_mode="sinusoidal",
                  grid_rows=None, grid_cols=None):
@@ -275,19 +176,17 @@ class ModelParams(_Group):
             for key in path:
                 node = node.setdefault(key, {})
             node[leaf] = view
-        head_groups = tuple(AttentionHeadParams._over(v) for v in tree["lwa"].values())
-        for key, value in (
-            ("theta", theta),
-            ("_views", views),
-            ("_dims", dims),
-            ("lwa", LwaParams._over({}, heads=head_groups)),
-            ("gates", GateParams._over(tree["gates"])),
-            ("fusion", FusionParams._over(tree["fusion"])),
-            ("temp", TemperatureParam._over(tree["temp"])),
-            ("agg", AggregationParams._over(tree["agg"], positional_mode=pos_mode,
-                                            grid_rows=grid_rows, grid_cols=grid_cols)),
-        ):
-            object.__setattr__(self, key, value)
+        vars(self).update(
+            theta=theta,
+            _views=views,
+            _dims=dims,
+            lwa=_Group({}, heads=tuple(_Group(v) for v in tree["lwa"].values())),
+            gates=_Group(tree["gates"]),
+            fusion=_Group(tree["fusion"]),
+            temp=_Temperature(tree["temp"]),
+            agg=_Group(tree["agg"], table=None, positional_mode=pos_mode,
+                       grid_rows=grid_rows, grid_cols=grid_cols),
+        )
 
     def __reduce__(self):
         """Pickled as its constructor's arguments: unpickling checks them again."""
@@ -381,16 +280,7 @@ def grad_zeros(params: ModelParams) -> ModelParams:
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a checkpoint; round-trips every scalar losslessly."""
-    header = {
-        "format": "fgpan-checkpoint",
-        "version": CHECKPOINT_VERSION,
-        "dim": params.dim,
-        "window_size": params.window_size,
-        "heads": params.n_heads,
-        "pos_mode": params.agg.positional_mode,
-        "grid_rows": params.agg.grid_rows,
-        "grid_cols": params.agg.grid_cols,
-    }
+    header = {"format": "fgpan-checkpoint", "version": CHECKPOINT_VERSION, **params.dims}
     leaves = params.leaves()
     rows = [arr.size // arr.shape[-1] for _, arr in leaves]  # rows per leaf
     widths = [arr.shape[-1] for (_, arr), n in zip(leaves, rows) for _ in range(n)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fgpan.aggregation import sinusoidal_embeddings, table_rows
 from fgpan.attention import window_attention
 from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
-from fgpan.params import AttentionHeadParams
+from fgpan.params import init_params
 from fgpan.training import _fold, _forward_core
 
 # Property tests draw the same examples on every run, keep no example
@@ -87,12 +87,14 @@ def head_attention(f, layout, head):
 
 
 def random_head(rng, d, s):
-    return AttentionHeadParams(
-        rng.standard_normal((d, d)),
-        rng.standard_normal((d, d)),
-        rng.standard_normal((d, d)),
-        rng.standard_normal((2 * s - 1, 2 * s - 1)),
-    )
+    """A head of a one-head model whose W_Q, W_K, W_V and bias table are
+    drawn from rng, in that order."""
+    head = init_params(d, s, 1).lwa.heads[0]
+    head.W_Q = rng.standard_normal((d, d))
+    head.W_K = rng.standard_normal((d, d))
+    head.W_V = rng.standard_normal((d, d))
+    head.bias_table = rng.standard_normal((2 * s - 1, 2 * s - 1))
+    return head
 
 
 def forward_cache(features, coords, params, protos, *, lwa_gff=True):

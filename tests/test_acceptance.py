@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import dense_attention_reference, forward_cache, head_attention
+from conftest import dense_attention_reference, forward_cache, head_attention, random_head
 
 import fgpan as fg
 from fgpan.cli import dispatch, parse_config
@@ -77,12 +77,7 @@ def test_criterion_2_attention_oracle():
         while windows < 100:
             d = int(rng.integers(2, 9))
             s = int(rng.integers(2, 4))
-            head = fg.AttentionHeadParams(
-                rng.standard_normal((d, d)),
-                rng.standard_normal((d, d)),
-                rng.standard_normal((d, d)),
-                rng.standard_normal((2 * s - 1, 2 * s - 1)),
-            )
+            head = random_head(rng, d, s)
             side = 2 * s
             cells = rng.choice(side * side, size=int(rng.integers(1, 9)), replace=False)
             coords = np.array([(int(c) // side, int(c) % side) for c in cells])

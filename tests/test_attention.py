@@ -53,7 +53,7 @@ def head_outputs(f, coords, heads, s):
 
 def attention_weights(f, coords, head):
     """The layout and the batched (n_windows, S^2, S^2) attention weights."""
-    layout = partition_coords(coords, head.window_size)
+    layout = partition_coords(coords, (head.bias_table.shape[0] + 1) // 2)
     return layout, head_attention(f, layout, head)[1]
 
 
@@ -156,6 +156,17 @@ class TestPartition:
     def test_coordinate_past_int64_named(self, coords):
         with pytest.raises(ValueError, match="coordinate 9223372036854775808 does not fit"):
             partition_coords(coords, 2)
+
+    @pytest.mark.parametrize(
+        "coords", [[(0, 1), (0.5, 1.7), (-0.5, 0.2)], np.array([(0.0, 1.0), (0.5, 1.7)])],
+        ids=["list", "float64"],
+    )
+    def test_non_integer_coordinate_named(self, coords):
+        """A fractional coordinate is refused by name, not truncated into a
+        tile; an integral float is a coordinate like any other."""
+        with pytest.raises(ValueError, match=r"coords: coordinate 0\.5 is not an integer"):
+            partition_coords(coords, 1)
+        assert partition_coords(np.asarray(coords)[:1], 1).tiles.tolist() == [[0, 1]]
 
     @given(st.lists(int64_coords(), min_size=1, max_size=4), st.integers(1, 4))
     def test_stack_layout_is_each_slides_in_turn(self, slides, s):

@@ -18,7 +18,6 @@ from conftest import ADVERSARIAL
 import fgpan.params
 from fgpan.data import _parse_decimals
 from fgpan.params import (
-    AttentionHeadParams,
     ModelParams,
     _checkpoint_zeros,
     _fast_decimals,
@@ -149,21 +148,25 @@ class TestSchema:
                 names = [ln.split(" ", 1)[0] for ln in fh.read().splitlines()[1:]]
         assert names == [n for n, _ in leaves]
 
-    @pytest.mark.parametrize("group, attr, value, leaf", [
-        (lambda p: p.temp, "log_tau", 0.25, "temp.log_tau"),
-        (lambda p: p.fusion, "W_f", np.full((4, 4), 0.5), "fusion.W_f"),
-        (lambda p: p.gates, "b_g", np.array([1.0, -1.0]), "gates.b_g"),
-        (lambda p: p.agg, "table", np.ones((6, 4)), "agg.table"),
-        (lambda p: p.lwa.heads[1], "bias_table", np.ones((3, 3)), "lwa.h1.bias_table"),
-    ], ids=["log_tau", "W_f", "b_g", "table", "bias_table"])
-    def test_leaf_rebinding_writes_through(self, group, attr, value, leaf):
-        """Assigning a leaf attribute changes exactly that leaf's slice of
+    # five leaves keep their short ids, so recorded results still match by name
+    @pytest.mark.parametrize("leaf", TABLE_LEAVES, ids=lambda leaf: {
+        "temp.log_tau": "log_tau", "fusion.W_f": "W_f", "gates.b_g": "b_g",
+        "agg.table": "table", "lwa.h1.bias_table": "bias_table",
+    }.get(leaf, leaf))
+    def test_leaf_rebinding_writes_through(self, leaf):
+        """Assigning a leaf attribute, reached by its schema name ("lwa.h1.W_Q"
+        is lwa.heads[1].W_Q), changes exactly that leaf's slice of
         flatten()."""
         p = init_params(4, 2, 2, seed=1, pos_mode="learned_table", grid_rows=2, grid_cols=3)
+        *path, attr = leaf.split(".")
+        group = getattr(p, path[0])
+        if path[0] == "lwa":
+            group = group.heads[int(path[1].removeprefix("h"))]
+        value = np.arange(p[leaf].size).reshape(p[leaf].shape) + 0.5
         before = p.flatten()
-        setattr(group(p), attr, value)
+        setattr(group, attr, value.item() if attr == "log_tau" else value)
         after = p.flatten()
-        np.testing.assert_array_equal(p[leaf].ravel(), np.ravel(value))
+        np.testing.assert_array_equal(p[leaf], value)
         np.testing.assert_array_equal(np.delete(after, _offsets(p)[leaf]),
                                       np.delete(before, _offsets(p)[leaf]))
 
@@ -216,14 +219,6 @@ class TestSchema:
         p.temp.log_tau = log_tau
         with pytest.raises(ValueError, match=re.escape(f"temp.log_tau = {log_tau!r}: tau = exp")):
             p.temp.tau
-
-    def test_standalone_head_validated(self):
-        with pytest.raises(ValueError, match="square"):
-            AttentionHeadParams(np.eye(2), np.eye(2), np.ones((2, 3)), np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="odd side"):
-            AttentionHeadParams(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="non-finite"):
-            AttentionHeadParams(np.eye(2), np.eye(2), np.eye(2), np.full((3, 3), np.nan))
 
 
 def _offsets(p):
