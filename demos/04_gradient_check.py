@@ -9,6 +9,7 @@ import numpy as np
 from fgpan import (
     finite_diff_check,
     grad_total_loss,
+    occupancy_classes,
     partition_coords,
     random_instance,
     window_attention,
@@ -17,15 +18,15 @@ from fgpan import (
 
 # The kernel: for loss = <Y, G> with Y = window_attention(f_pad, fm, ...),
 # window_attention_backward gives d loss / d fm (f^T times it is the
-# gradient of M = W_Q W_K^T) and d loss / d bias_table.
+# gradient of M = W_Q W_K^T) and adds d loss / d bias_table into a table.
 rng = np.random.default_rng(0)
 coords = np.array([(0, 0), (0, 1), (1, 1), (2, 3), (3, 3), (3, 2)])
-layout = partition_coords(coords, 2)
 f = rng.standard_normal((len(coords), 4))
+classes = occupancy_classes(partition_coords(coords, 2), f.shape[1])
 fm = f @ rng.standard_normal((4, 4))
 table = rng.standard_normal((3, 3))
 g = rng.standard_normal(f.shape)
-f_pad = layout.pad(f)
+f_pad = tuple(c.pad(f) for c in classes)
 
 
 inputs = {"fm": fm, "bias_table": table}
@@ -33,11 +34,12 @@ inputs = {"fm": fm, "bias_table": table}
 
 def kernel_loss(**changed):
     x = {**inputs, **changed}
-    return float((window_attention(f_pad, x["fm"], layout, x["bias_table"])[0] * g).sum())
+    return float((window_attention(f_pad, x["fm"], classes, x["bias_table"])[0] * g).sum())
 
 
-_, a = window_attention(f_pad, fm, layout, table)
-d_fm, d_bias = window_attention_backward(f_pad, layout, a, g)
+_, a = window_attention(f_pad, fm, classes, table)
+d_bias = np.zeros_like(table)
+d_fm = window_attention_backward(f_pad, classes, a, g, d_bias)
 worst = 0.0
 for name, grad in (("fm", d_fm), ("bias_table", d_bias)):
     for i in np.ndindex(grad.shape):

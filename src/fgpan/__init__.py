@@ -9,7 +9,9 @@ checked against a finite-difference oracle.
 
 from .aggregation import SlidePrediction
 from .attention import (
+    WindowClass,
     WindowLayout,
+    occupancy_classes,
     partition_coords,
     window_attention,
     window_attention_backward,

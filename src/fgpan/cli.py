@@ -42,7 +42,7 @@ from .data import (
 from .metrics import EvalRecord, auroc_ovr, balanced_accuracy, f1_scores
 from .params import init_params, load_checkpoint, save_checkpoint
 from .prototypes import interclass_distance, normalize_prototypes
-from .rowtext import read_files
+from .rowtext import atomic_text, read_files
 from .selection import SelectionStrategy, select_patches
 from .training import (
     TrainConfig,
@@ -360,7 +360,7 @@ def _cmd_infer(cfg: RunConfig) -> int:
                 }
             )
         )
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(cfg.out) as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} predictions to {cfg.out}")
     return 0

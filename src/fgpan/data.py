@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .rowtext import reader, row_texts
+from .rowtext import atomic_text, reader, row_texts
 
 __all__ = [
     "SlideRecord",
@@ -325,7 +325,13 @@ class SyntheticConfig:
 
 
 def save_slide(record: SlideRecord, path) -> None:
-    """Write a slide file; identical records produce identical bytes."""
+    """Write a slide file; identical records produce identical bytes.
+
+    Unlike the package's other writes, a slide is written in place, not
+    through rowtext.atomic_text. Replacing a file by rename cost about 100
+    us more per file than rewriting it on a 2-core host's ext4, and a
+    rewritten desk corpus (40 slides of 64 x 16 values) was written 15-24%
+    slower that way. Slides are inputs, which can be written again."""
     coords, features = record.coords(), record.matrix()
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
@@ -427,7 +433,8 @@ reader("slide", load_slide)
 
 
 def save_prototypes(pset: PrototypeSet, path) -> None:
-    """Write a prototype file, one JSON object per line."""
+    """Write a prototype file, one JSON object per line, replacing it whole
+    or not at all (rowtext.atomic_text)."""
     lines = []
     for p in pset.prototypes:
         lines.append(
@@ -440,7 +447,7 @@ def save_prototypes(pset: PrototypeSet, path) -> None:
                 }
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

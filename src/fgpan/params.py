@@ -31,7 +31,7 @@ from itertools import islice
 import numpy as np
 
 from .data import _header_fields, _json_object, _parse_decimals
-from .rowtext import reader, row_texts
+from .rowtext import atomic_text, reader, row_texts
 
 __all__ = [
     "ModelParams",
@@ -279,13 +279,14 @@ def grad_zeros(params: ModelParams) -> ModelParams:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a checkpoint; round-trips every scalar losslessly."""
+    """Write a checkpoint; round-trips every scalar losslessly. The file is
+    replaced whole or not at all (rowtext.atomic_text)."""
     header = {"format": "fgpan-checkpoint", "version": CHECKPOINT_VERSION, **params.dims}
     leaves = params.leaves()
     rows = [arr.size // arr.shape[-1] for _, arr in leaves]  # rows per leaf
     widths = [arr.shape[-1] for (_, arr), n in zip(leaves, rows) for _ in range(n)]
     texts = row_texts(params.theta, widths)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for (name, _), n in zip(leaves, rows):
             # one row at a time: a leaf's text never sits in memory whole (a

@@ -25,7 +25,10 @@ write: about 0.85 us per value on one core of a 2-core Xeon host, and every
 %-style formatter costs the same. A write of at least PARALLEL_VALUES
 values is cut into one contiguous share of rows per CPU, and each share
 into calls of about _SEND_VALUES values that give their rows' texts: the
-caller holds one call's text at a time.
+caller holds one call's text at a time. Checkpoints, prototype files and
+predictions are written through atomic_text, so a write that fails or is
+interrupted leaves the file it would replace as it was (slides are
+written in place, see data.save_slide).
 
 Reading. A batch of files holding at least PARALLEL_BYTES bytes is split
 over the caller and the workers, largest file first to the share with the
@@ -43,8 +46,10 @@ use, or while another write or read uses the pool, the caller does all the
 work and no process is started.
 """
 
+import contextlib
 import multiprocessing
 import os
+import secrets
 import threading
 from collections.abc import Callable, Iterator
 from functools import partial
@@ -52,7 +57,8 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = ["PARALLEL_BYTES", "PARALLEL_VALUES", "read_files", "reader", "row_texts"]
+__all__ = ["PARALLEL_BYTES", "PARALLEL_VALUES", "atomic_text", "read_files", "reader",
+           "row_texts"]
 
 # Values a write must hold before it is formatted on several processes.
 # On a 2-core Xeon host (medians of 15 alternating runs, warm pool), a
@@ -233,6 +239,30 @@ def _pooled_texts(pool: list, values: np.ndarray, widths: list[int]) -> Iterator
     ]
     for call, texts in zip(chain.from_iterable(shares), _farm(pool, shares)):
         yield from call() if texts is None else texts
+
+
+@contextlib.contextmanager
+def atomic_text(path):
+    """A UTF-8, LF text file to write in place of path. The text goes to a
+    new, uniquely named temporary file beside path, which os.replace moves
+    onto path once the block ends without an exception. On any exception,
+    KeyboardInterrupt included, the temporary file is removed and path is
+    left as it was. A symlinked path is written through: the file it
+    resolves to is replaced and the link kept. Nothing is fsynced: the
+    replace is atomic for other processes, not durable across a crash of
+    the machine."""
+    path = os.path.realpath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # never another's file
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def row_texts(values: np.ndarray, widths: list[int]) -> Iterator[str]:

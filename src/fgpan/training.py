@@ -42,7 +42,12 @@ from .aggregation import (
     sinusoidal_embeddings,
     table_rows,
 )
-from .attention import partition_coords, window_attention, window_attention_backward
+from .attention import (
+    occupancy_classes,
+    partition_coords,
+    window_attention,
+    window_attention_backward,
+)
 from .data import ClassPrototype, PrototypeSet, SlideRecord
 from .params import ModelParams, grad_zeros, init_params
 from .prototypes import _NORM_TOL
@@ -138,6 +143,13 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
     return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
 
 
+def _gated(y3: np.ndarray, gamma: np.ndarray, out=None) -> np.ndarray:
+    """z = [gamma_0 Y_0 | gamma_1 Y_1 ...] as (M, L d), from the (M, L, d)
+    view y3 of y and the (L, M) gates; the forward forms it for the fusion
+    and the backward again for P's gradient, by this one multiply."""
+    return np.multiply(y3, gamma.T[:, :, None], out=out).reshape(y3.shape[0], -1)
+
+
 def _fold(params: ModelParams):
     """The d x d products the refinement stage runs on: mq = [M_0 | M_1 ...]
     (d, L d) with M_l = W_Q^l W_K^l^T, the stacked fusion P (L d, d) with
@@ -181,48 +193,54 @@ def _forward_core(
     bypass the refinement stage. A stack concatenates its slides' rows in f
     and coords, sizes[j] rows for slide j. alpha and log_alpha are
     normalized within each slide, and p_slide is (n_slides, C). Returns
-    the intermediates the backward reads: u_in =
+    the intermediates the backward reads, one copy of each: u_in =
     [H || phi] is built once and h, phi are views of its halves; h_hat is
     not kept (the backward recomputes it as h / h_norm); y = [Y_0 | Y_1 ...]
-    and z = [gamma_0 Y_0 | gamma_1 Y_1 ...] are (M, L d), and attn holds
-    each head's attention weights; table_rows holds the learned table's
-    row of each patch, which the backward adds into. A pass with no
-    backward after it (for_backward False) keeps none of these: it gates y
-    in place and frees each head's weights once its Y_l is formed.
+    is (M, L d) and gamma (L, M), and the gated z = [gamma_0 Y_0 |
+    gamma_1 Y_1 ...] is not kept (the backward forms it again by _gated);
+    attn holds each head's attention weights, one array per occupancy
+    class in classes; table_rows
+    holds the learned table's row of each patch, which the backward adds
+    into. A buffer is allocated where it is first written. A pass with no
+    backward after it (for_backward False) keeps none of y, attn and the
+    padded inputs: it gates y in place and frees each head's weights once
+    its Y_l is formed.
     """
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
     cache: dict = {"f": f, "fold": fold, "sizes": sizes, "bounds": bounds}
     d = params.dim
-    u_in = np.empty((f.shape[0], 2 * d))
-    h, phi = u_in[:, :d], u_in[:, d:]
     if fold is not None:
         mq, p_fuse, c = fold
-        s_win = params.window_size
-        layout = partition_coords(coords, s_win, sizes)
-        f_pad = layout.pad(f)  # shared by every head
+        classes = occupancy_classes(partition_coords(coords, params.window_size, sizes), d)
+        f_pad = tuple(cls.pad(f) for cls in classes)  # shared by every head
         y = np.empty((f.shape[0], mq.shape[1]))
         attn = []
         for l, head in enumerate(params.lwa.heads):
             # f M_l one head at a time: an (M, L d) f mq would outweigh y
             # in a forward-only pass's peak
             cols = slice(l * d, (l + 1) * d)
-            y[:, cols], a = window_attention(f_pad, f @ mq[:, cols], layout, head.bias_table)
+            y[:, cols], a = window_attention(f_pad, f @ mq[:, cols], classes, head.bias_table)
             if for_backward:
                 attn.append(a)
             del a
         y3 = y.reshape(f.shape[0], -1, d)  # (M, L, d) view
         gamma = _sigmoid(np.einsum("mld,ld->lm", y3, c) + params.gates.b_g[:, None])  # (L, M)
-        z = np.multiply(y3, gamma.T[:, :, None], out=None if for_backward else y3)
-        z = z.reshape(y.shape)
-        h[...] = z @ p_fuse + params.fusion.b_f
-        cache.update(layout=layout, gamma=gamma)
+        z = _gated(y3, gamma, out=None if for_backward else y3)
+        cache.update(classes=classes, gamma=gamma)
         if for_backward:
-            cache.update(f_pad=f_pad, y=y, z=z, attn=attn)
-        del f_pad, y, z
+            cache.update(f_pad=f_pad, y=y, attn=attn)
+        del f_pad, y, y3
+        fused = z @ p_fuse
+        fused += params.fusion.b_f
+        del z
     else:
-        h[...] = f
+        fused = f
+    u_in = np.empty((f.shape[0], 2 * d))  # first written here, after the refinement stage
+    h, phi = u_in[:, :d], u_in[:, d:]
+    h[...] = fused
+    del fused
     h_norm = np.linalg.norm(h, axis=1)
     if np.any(h_norm == 0.0):
         raise ValueError("zero-norm fused feature; cannot take cosine scores")
@@ -307,13 +325,15 @@ def _backward_core(
     grads.temp.log_tau += -(dz * cache["z_cls"]).sum()
     ds = dz / cache["tau"]
 
-    # cosine scores s = h_hat . T_c, h_hat recomputed as the forward took it
-    h_hat = cache["h"] / cache["h_norm"][:, None]
-    d_hhat = ds @ t_mat
-    dh = (d_hhat - (d_hhat * h_hat).sum(axis=1, keepdims=True) * h_hat) / cache[
-        "h_norm"
-    ][:, None]
-    del h_hat, d_hhat
+    # cosine scores s = h_hat . T_c, h_hat recomputed as the forward took it;
+    # dh = (d_hhat - (d_hhat . h_hat) h_hat) / |h| in that order, in place
+    h_norm = cache["h_norm"][:, None]
+    h_hat = cache["h"] / h_norm
+    dh = ds @ t_mat  # d_hhat
+    h_hat *= (dh * h_hat).sum(axis=1, keepdims=True)
+    dh -= h_hat
+    dh /= h_norm
+    del h_hat
 
     # aggregation logits u = [H || phi] . w
     grads.agg.w += cache["u_in"].T @ du
@@ -335,13 +355,13 @@ def _backward_core(
     # [d fm_l]_l in place, head by head
     _, p_fuse, c = cache["fold"]
     d_mq, d_p, d_c = d_fold
+    gamma, y, attn = cache["gamma"], cache.pop("y"), cache.pop("attn")
     grads.fusion.b_f += dh.sum(axis=0)
-    d_p += cache.pop("z").T @ dh
+    d_p += _gated(y.reshape(y.shape[0], -1, d), gamma).T @ dh
     dz = dh @ p_fuse.T
     del dh
 
-    gamma, y, attn = cache["gamma"], cache.pop("y"), cache.pop("attn")
-    f_pad, layout = cache.pop("f_pad"), cache["layout"]
+    f_pad, classes = cache.pop("f_pad"), cache["classes"]
     for l, (head, g_head) in enumerate(zip(params.lwa.heads, grads.lwa.heads)):
         cols = slice(l * d, (l + 1) * d)
         y_l, d_y = y[:, cols], dz[:, cols]
@@ -350,9 +370,8 @@ def _backward_core(
         grads.gates.b_g[l] += da.sum()
         d_y *= gamma[l][:, None]
         d_y += da[:, None] * c[l]
-        d_y[...], d_bias = window_attention_backward(f_pad, layout, attn[l], d_y)
+        d_y[...] = window_attention_backward(f_pad, classes, attn[l], d_y, g_head.bias_table)
         attn[l] = None  # this head's weights freed before the next
-        g_head.bias_table += d_bias
     d_mq += cache["f"].T @ dz
 
 
@@ -581,16 +600,22 @@ def adamw_step(
     cfg: TrainConfig,
 ) -> tuple[ModelParams, dict]:
     """One decoupled-weight-decay Adam update over the flat vectors; returns
-    new params and state, leaving params itself unchanged.
+    new params over a new vector, and the state.
 
-    Weight decay applies where params.decay_mask() says: matrices and
-    tables, never log_tau or the scalar biases.
+    params and grads are left unchanged. The moments are updated in place:
+    the state returned is the dict passed in (a new one when state is None
+    or empty), its "m" and "v" arrays overwritten and its "step" advanced,
+    so a caller that wants the previous moments copies them first. A step
+    thus allocates two parameter-sized vectors, the new theta and one
+    scratch vector. Weight decay applies where params.decay_mask() says:
+    matrices and tables, never log_tau or the scalar biases.
     """
     g = grads.theta
     theta = params.theta
     if state is None or not state:
         state = {"step": 0, "m": np.zeros_like(theta), "v": np.zeros_like(theta)}
-    if g.shape != theta.shape or state["m"].shape != theta.shape:
+    m, v = state["m"], state["v"]
+    if g.shape != theta.shape or m.shape != theta.shape or v.shape != theta.shape:
         raise ValueError("gradient/state shapes do not match params")
     b1, b2 = cfg.betas
     t = state["step"] + 1
@@ -598,13 +623,13 @@ def adamw_step(
     # theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta * mask, with
     # m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t), one operation at a
     # time in the order that expression takes them (so the bytes are the
-    # same), written into the new m, v and theta and one scratch vector
+    # same), written into m, v, the new theta and one scratch vector
     scratch = np.multiply(g, 1.0 - b1)
-    m = np.multiply(state["m"], b1)
+    m *= b1
     m += scratch
     np.multiply(g, 1.0 - b2, out=scratch)
     scratch *= g
-    v = np.multiply(state["v"], b2)
+    v *= b2
     v += scratch
     new = np.divide(v, 1.0 - b2**t)
     np.sqrt(new, out=new)
@@ -616,7 +641,9 @@ def adamw_step(
     np.multiply(theta, lr * cfg.weight_decay, out=new)
     new *= params.decay_mask()
     np.subtract(scratch, new, out=new)
-    return ModelParams(new, **params.dims), {"step": t, "m": m, "v": v}
+    del scratch  # freed before ModelParams checks the new vector
+    state["step"] = t
+    return ModelParams(new, **params.dims), state
 
 
 def train(

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from fgpan.aggregation import sinusoidal_embeddings, table_rows
-from fgpan.attention import window_attention
+from fgpan.attention import occupancy_classes, window_attention
 from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
 from fgpan.params import init_params
 from fgpan.training import _fold, _forward_core
@@ -48,6 +48,39 @@ def dense_attention_reference(features, offsets, head):
     return out
 
 
+def kernel_reference(f, fm, coords, s, bias_table, g):
+    """Brute-force window attention kernel and its gradients, window by
+    window with scalar loops, for the kernel's own inputs: (M, d) f and
+    fm = f M, grid coordinates, window side s, the (2s-1, 2s-1) bias table
+    and an upstream gradient g = d loss / d Y. The logits of query p and
+    key q in one window are (fm_p . f_q + bias[off_p - off_q]) / sqrt(d),
+    Y_p = sum_q A_pq f_q, and with dA_pq = g_p . f_q and dz_pq = A_pq
+    (dA_pq - sum_r A_pr dA_pr) / sqrt(d): d fm_p = sum_q dz_pq f_q and
+    d bias[off_p - off_q] += dz_pq. Returns (Y, d fm, d bias)."""
+    m, d = f.shape
+    y, d_fm = np.zeros((m, d)), np.zeros((m, d))
+    d_bias = np.zeros_like(bias_table)
+    windows = {}
+    for i, (r, c) in enumerate(np.asarray(coords).tolist()):
+        windows.setdefault((r // s, c // s), []).append(i)
+    for idx in windows.values():
+        offs = [(int(r) % s, int(c) % s) for r, c in np.asarray(coords)[idx]]
+        for p, i in enumerate(idx):
+            disp = [(offs[p][0] - offs[q][0] + s - 1, offs[p][1] - offs[q][1] + s - 1)
+                    for q in range(len(idx))]
+            logits = np.array([(float(fm[i] @ f[j]) + bias_table[disp[q]]) / math.sqrt(d)
+                               for q, j in enumerate(idx)])
+            a = np.exp(logits - logits.max())
+            a /= a.sum()
+            da = np.array([float(g[i] @ f[j]) for j in idx])
+            dz = a * (da - float(a @ da)) / math.sqrt(d)
+            for q, j in enumerate(idx):
+                y[i] += a[q] * f[j]
+                d_fm[i] += dz[q] * f[j]
+                d_bias[disp[q]] += dz[q]
+    return y, d_fm, d_bias
+
+
 def refinement_reference(features, coords, params):
     """h and alpha of one slide by the three-projection form, independent
     of the library's re-association: each head's output H_l window by
@@ -80,10 +113,23 @@ def refinement_reference(features, coords, params):
 def head_attention(f, layout, head):
     """One head through the kernel the forward pass runs: window_attention
     over (f M) and f with M = W_Q W_K^T. Returns the (M, d) head output
-    Y W_V and the (n_windows, S^2, S^2) attention weights."""
-    y, a = window_attention(layout.pad(f), f @ (head.W_Q @ head.W_K.T), layout,
-                            head.bias_table)
+    Y W_V and the attention weights, one (n, capacity, capacity) array per
+    occupancy class, in the classes the forward pass runs at f's width."""
+    classes = occupancy_classes(layout, f.shape[1])
+    y, a = window_attention(tuple(cls.pad(f) for cls in classes),
+                            f @ (head.W_Q @ head.W_K.T), classes, head.bias_table)
     return y @ head.W_V, a
+
+
+def window_weights(classes, a):
+    """Each window's (capacity, capacity) attention weights and slot mask,
+    in the layout's window order, from a kernel's per-class weights a.
+    Within a window, real slots come in offset order."""
+    out = [None] * sum(len(cls.windows) for cls in classes)
+    for cls, a_c in zip(classes, a):
+        for i, w in enumerate(cls.windows.tolist()):
+            out[w] = (a_c[i], cls.mask[i])
+    return out
 
 
 def random_head(rng, d, s):
@@ -100,7 +146,7 @@ def random_head(rng, d, s):
 def forward_cache(features, coords, params, protos, *, lwa_gff=True):
     """The forward pass every command runs, over plain arrays: (M, d)
     features, (M, 2) grid coordinates and unit-norm (C, d) prototype rows,
-    as a stack of one slide. Returns its cache (y, gamma, z, h, s, p,
+    as a stack of one slide. Returns its cache (y, gamma, h, s, p,
     alpha, ...), with p_slide the slide's (C,) distribution."""
     features = np.asarray(features, dtype=np.float64)
     cache = _forward_core(

@@ -12,7 +12,13 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import dense_attention_reference, forward_cache, head_attention, random_head
+from conftest import (
+    dense_attention_reference,
+    forward_cache,
+    head_attention,
+    random_head,
+    window_weights,
+)
 
 import fgpan as fg
 from fgpan.cli import dispatch, parse_config
@@ -116,11 +122,10 @@ def test_criterion_3_normalization_convexity():
             protos /= np.linalg.norm(protos, axis=1, keepdims=True)
             cache = forward_cache(rng.standard_normal((m, d)), coords, params, protos)
 
-            mask = cache["layout"].mask
             for a in cache["attn"]:
-                for w, m in enumerate(mask):
-                    assert np.all(np.abs(a[w][np.ix_(m, m)].sum(axis=1) - 1.0) <= 1e-12)
-                    assert np.all(a[w][:, ~m] == 0.0)
+                for a_w, m in window_weights(cache["classes"], a):
+                    assert np.all(np.abs(a_w[np.ix_(m, m)].sum(axis=1) - 1.0) <= 1e-12)
+                    assert np.all(a_w[:, ~m] == 0.0)
             assert np.all(np.abs(cache["p"].sum(axis=1) - 1.0) <= 1e-12)
             assert abs(cache["alpha"].sum() - 1.0) <= 1e-12
             p_slide, probs = cache["p_slide"], cache["p"]

@@ -8,15 +8,22 @@ from conftest import (
     forward_cache,
     head_attention,
     int64_coords,
+    kernel_reference,
     make_pset,
     make_slide,
     random_head,
     refinement_reference,
+    window_weights,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgpan.attention import partition_coords
+from fgpan.attention import (
+    occupancy_classes,
+    partition_coords,
+    window_attention,
+    window_attention_backward,
+)
 from fgpan.params import init_params
 from fgpan.training import (
     finite_diff_check,
@@ -52,15 +59,17 @@ def head_outputs(f, coords, heads, s):
 
 
 def attention_weights(f, coords, head):
-    """The layout and the batched (n_windows, S^2, S^2) attention weights."""
+    """The layout and each window's (weights, slot mask), window_weights'
+    reading of the kernel's per-class attention weights."""
     layout = partition_coords(coords, (head.bias_table.shape[0] + 1) // 2)
-    return layout, head_attention(f, layout, head)[1]
+    classes = occupancy_classes(layout, f.shape[1])
+    return layout, window_weights(classes, head_attention(f, layout, head)[1])
 
 
 def attention_matrices(f, coords, head):
-    """Per window, the weights among its real members (slot order)."""
-    layout, a = attention_weights(f, coords, head)
-    return [a[w][np.ix_(m, m)] for w, m in enumerate(layout.mask)]
+    """Per window, the weights among its real members (offset order)."""
+    _, weights = attention_weights(f, coords, head)
+    return [a[np.ix_(m, m)] for a, m in weights]
 
 
 def window_members(layout, w):
@@ -196,6 +205,95 @@ class TestPartition:
                 assert layout.bias_index[i, j] == dr * side + dc
 
 
+@st.composite
+def class_layouts(draw):
+    """Grid coordinates, in random row order, of 2-6 windows of an S x S
+    tiling (S in 1..4), whose occupancies differ where S > 1, and S."""
+    s = draw(st.integers(1, 4))
+    tiles = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2,
+                          max_size=6, unique=True))
+    sizes = [draw(st.integers(1, s * s)) for _ in tiles]
+    if s > 1 and len(set(sizes)) == 1:
+        sizes[-1] = 1 if sizes[0] > 1 else 2
+    cells = []
+    for (tr, tc), k in zip(tiles, sizes):
+        for off in draw(st.permutations(range(s * s)))[:k]:
+            cells.append((tr * s + off // s, tc * s + off % s))
+    return np.array(draw(st.permutations(cells)), dtype=np.int64), s
+
+
+def padded_kernel(f, fm, layout, bias_table):
+    """Y and the weights of every window padded to S^2 slots by offset and
+    run as one batch, from the layout's slot, mask and bias_index: the
+    kernel's arithmetic for a layout of one class of capacity S^2."""
+    n, s2 = layout.mask.shape
+    d = f.shape[1]
+
+    def pad(x):
+        out = np.zeros((n * s2, d))
+        out[layout.slot] = x
+        return out.reshape(n, s2, d)
+
+    f_pad = pad(f)
+    z = pad(fm) @ f_pad.transpose(0, 2, 1)
+    z += bias_table.ravel()[layout.bias_index]
+    z /= np.sqrt(d)
+    z = np.where(layout.mask[:, None, :], z, -np.inf)
+    z -= z.max(axis=2, keepdims=True)
+    a = np.exp(z, out=z)
+    a /= a.sum(axis=2, keepdims=True)
+    return (a @ f_pad).reshape(-1, d)[layout.slot], a
+
+
+class TestOccupancyClasses:
+    @settings(max_examples=80)
+    @given(class_layouts(), st.sampled_from([10**6, 20_000, 5_000, 1_000]), st.integers(2, 6),
+           st.integers(0, 2**32 - 1))
+    def test_kernels_match_dense_reference(self, case, price_dim, d, seed):
+        """Y, d fm and the bias-table gradient of the kernels over every
+        class of a layout equal the brute-force per-window reference to
+        1e-12 relative. Classes are priced at a width price_dim apart from
+        the features' own: at 10^6 each occupancy keeps a class of its own;
+        the smaller the width, the more classes merge into padded larger
+        ones, compacted or of capacity S^2."""
+        coords, s = case
+        classes = occupancy_classes(partition_coords(coords, s), price_dim)
+        if price_dim == 10**6 and s > 1:
+            assert len(classes) >= 2
+        rng = np.random.default_rng(seed)
+        f, fm, g = (rng.standard_normal((len(coords), d)) for _ in range(3))
+        table = rng.standard_normal((2 * s - 1, 2 * s - 1))
+        f_pad = tuple(cls.pad(f) for cls in classes)
+        y, a = window_attention(f_pad, fm, classes, table)
+        d_bias = np.zeros_like(table)
+        d_fm = window_attention_backward(f_pad, classes, a, g, d_bias)
+        want = kernel_reference(f, fm, coords, s, table, g)
+        for got, ref in zip((y, d_fm, d_bias), want):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @given(class_layouts(), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_one_class_is_the_padded_batch(self, case, d, seed):
+        """Where every class merges into capacity S^2 (the padding priced
+        at d=1), the one class keeps the layout's own slots, mask and
+        shared bias index, and its Y and weights equal one padded batch
+        over all windows bit for bit."""
+        coords, s = case
+        layout = partition_coords(coords, s)
+        (cls,) = occupancy_classes(layout, 1)
+        assert cls.capacity == s * s
+        np.testing.assert_array_equal(cls.windows, np.arange(layout.n_windows))
+        np.testing.assert_array_equal(cls.rows, np.arange(len(coords)))
+        for name in ("slot", "mask", "bias_index"):
+            np.testing.assert_array_equal(getattr(cls, name), getattr(layout, name))
+        rng = np.random.default_rng(seed)
+        f, fm = rng.standard_normal((len(coords), d)), rng.standard_normal((len(coords), d))
+        table = rng.standard_normal((2 * s - 1, 2 * s - 1))
+        y, (a,) = window_attention((cls.pad(f),), fm, (cls,), table)
+        want_y, want_a = padded_kernel(f, fm, layout, table)
+        assert a.tobytes() == want_a.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+
+
 class TestAttendWindow:
     def test_singleton_weight_is_one(self):
         rng = np.random.default_rng(0)
@@ -240,10 +338,10 @@ class TestAttendWindow:
             cells = rng.choice(16, size=int(rng.integers(1, 9)), replace=False)
             coords = np.array([(int(c) // 4, int(c) % 4) for c in cells])
             f = rng.standard_normal((len(coords), 5)) * 3
-            layout, a = attention_weights(f, coords, head)
-            for w, m in enumerate(layout.mask):
-                np.testing.assert_allclose(a[w][np.ix_(m, m)].sum(axis=1), 1.0, atol=1e-12)
-                assert np.all(a[w][:, ~m] == 0.0)
+            _, weights = attention_weights(f, coords, head)
+            for a, m in weights:
+                np.testing.assert_allclose(a[np.ix_(m, m)].sum(axis=1), 1.0, atol=1e-12)
+                assert np.all(a[:, ~m] == 0.0)
 
     def test_dimension_mismatch(self):
         """A slide whose embedding width differs from the model's is refused."""

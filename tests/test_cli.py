@@ -722,3 +722,30 @@ def test_imports_no_scipy():
                            capture_output=True, text=True, timeout=60)
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout == "[]\n"
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """gen -> train -> infer through python -m fgpan writes the same
+    checkpoint and prediction bytes under one BLAS thread and under two,
+    at a shape whose window layout forms several occupancy classes (two
+    512-row slides at d=128 on a 32 x 32 grid, S=4, learned table)."""
+    model = ["--dim", "128", "--window-size", "4", "--heads", "2", "--pos-mode", "table",
+             "--seed", "3"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**_fresh_python_env(), "OPENBLAS_NUM_THREADS": threads}
+        work = tmp_path / threads
+        data = work / "data"
+        common = ["--data", str(data), "--prototypes", str(data / "prototypes.jsonl"),
+                  "--checkpoint", str(work / "model.ckpt"), *model]
+        for argv in (
+            ["gen", "--out", str(data), "--classes", "2", "--slides-per-class", "1",
+             "--patches-per-slide", "512", "--grid-rows", "32", "--grid-cols", "32", *model],
+            ["train", *common, "--iterations", "3", "--batch-size", "2"],
+            ["infer", *common, "--out", str(work / "preds.jsonl")],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "fgpan", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append([(work / name).read_bytes() for name in ("model.ckpt", "preds.jsonl")])
+    assert outputs[0] == outputs[1]

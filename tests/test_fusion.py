@@ -1,12 +1,14 @@
 """Scalar sigmoid gates and the affine fusion projection, read from the
-forward cache: y = [Y_0 | Y_1] (head l's output is Y_l W_V^l), gamma, the
-gated z = [gamma_0 Y_0 | gamma_1 Y_1] and h."""
+forward cache: y = [Y_0 | Y_1] (head l's output is Y_l W_V^l), gamma and
+h, with the gated z = [gamma_0 Y_0 | gamma_1 Y_1] formed from y and gamma
+as the backward forms it (the cache does not keep it)."""
 
 import numpy as np
 import pytest
 from conftest import forward_cache
 
 from fgpan.params import init_params
+from fgpan.training import _gated
 
 COORDS = [(0, 0), (0, 1), (1, 1), (3, 2), (2, 3)]
 PROTOS = np.eye(4)[:2]
@@ -19,10 +21,17 @@ def head_outputs(cache, params):
             for l, head in enumerate(params.lwa.heads)]
 
 
+def gated(cache, params):
+    """z = [gamma_0 Y_0 | gamma_1 Y_1] by the library's own multiply."""
+    y = cache["y"]
+    return _gated(y.reshape(y.shape[0], -1, params.dim), cache["gamma"])
+
+
 def g_sum(cache, params):
     """The gated sum of head outputs, sum_l gamma_l Y_l W_V^l."""
     d = params.dim
-    return sum(cache["z"][:, l * d:(l + 1) * d] @ head.W_V
+    z = gated(cache, params)
+    return sum(z[:, l * d:(l + 1) * d] @ head.W_V
                for l, head in enumerate(params.lwa.heads))
 
 
@@ -39,7 +48,7 @@ class TestGate:
         params = init_params(4, 2, 2, seed=0)
         cache = run(params)
         np.testing.assert_array_equal(cache["gamma"], 0.5)
-        np.testing.assert_array_equal(cache["z"], 0.5 * cache["y"])
+        np.testing.assert_array_equal(gated(cache, params), 0.5 * cache["y"])
         h0, h1 = head_outputs(cache, params)
         np.testing.assert_allclose(g_sum(cache, params), 0.5 * h0 + 0.5 * h1, rtol=1e-14)
 
@@ -53,7 +62,7 @@ class TestGate:
         params.gates.b_g[:] = 20.0
         cache = run(params)
         assert np.all(np.abs(cache["gamma"] - 1.0) < 1e-8)
-        np.testing.assert_allclose(cache["z"], cache["y"], rtol=1e-8)
+        np.testing.assert_allclose(gated(cache, params), cache["y"], rtol=1e-8)
         h0, h1 = head_outputs(cache, params)
         np.testing.assert_allclose(g_sum(cache, params), h0 + h1, rtol=1e-8)
 
@@ -92,7 +101,7 @@ class TestFusion:
         """With one head, W_f = I and b_f = 0, H equals the gated head output."""
         params = init_params(4, 2, 1, seed=4)
         cache = run(params)
-        np.testing.assert_array_equal(cache["z"], 0.5 * cache["y"])
+        np.testing.assert_array_equal(gated(cache, params), 0.5 * cache["y"])
         np.testing.assert_array_equal(cache["h"], g_sum(cache, params))
 
     def test_two_equal_heads_double(self):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import ADVERSARIAL
 
 import fgpan.params
+import fgpan.rowtext
 from fgpan.data import _parse_decimals
 from fgpan.params import (
     ModelParams,
@@ -252,6 +253,27 @@ class TestCheckpoint:
         save_checkpoint(p, a)
         save_checkpoint(p, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A KeyboardInterrupt raised in the row formatter partway through
+        save_checkpoint over an existing checkpoint leaves that file byte
+        for byte as it was, and no temporary file beside it."""
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(8, 2, 2, seed=1), path)
+        old = path.read_bytes()
+        real = fgpan.rowtext._texts
+
+        def interrupted(values, widths):
+            texts = real(values, widths)
+            for _ in range(3):
+                yield next(texts)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fgpan.rowtext, "_texts", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(init_params(8, 2, 2, seed=2), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["ckpt.txt"]
 
     def test_dim_mismatch_rejected(self, tmp_path):
         p = init_params(8, 2, 2, seed=0)

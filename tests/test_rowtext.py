@@ -152,6 +152,43 @@ def _format_in_the_caller_only(rows, values, widths):
     return _FORMAT(values, widths)
 
 
+class TestAtomicText:
+    def test_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("old\n")
+        with rowtext.atomic_text(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"  # not yet replaced
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        """A symlinked target keeps its link; the file it points to, in its
+        own directory, is the one replaced."""
+        (tmp_path / "runs").mkdir()
+        real = tmp_path / "runs" / "run3.txt"
+        real.write_text("old\n")
+        link = tmp_path / "latest.txt"
+        link.symlink_to(real)
+        with rowtext.atomic_text(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_bytes() == b"new\n"
+        assert sorted(os.listdir(tmp_path)) == ["latest.txt", "runs"]
+        assert os.listdir(tmp_path / "runs") == ["run3.txt"]
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failed_write_leaves_the_file_and_no_temporary(self, tmp_path, exc):
+        path = tmp_path / "f.txt"
+        path.write_text("old\n")
+        with pytest.raises(exc):
+            with rowtext.atomic_text(path) as fh:
+                fh.write("partial")
+                raise exc
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["f.txt"]
+
+
 class TestPickledResults:
     """Read results cross the pipe pickled, rebuilt through their
     constructors."""

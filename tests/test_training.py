@@ -474,6 +474,19 @@ class TestForwardSlides:
         assert calls == {"_fold": 1, "_checked_proto_matrix": 1}
 
 
+def wsi_shape_instance():
+    """Two 2048-row, d=256 slides of a 64 x 64 grid, their normalized
+    prototypes, and a fresh S=4, two-head, learned-table model."""
+    slides, pset = gen_synthetic(SyntheticConfig(
+        classes=2, slides_per_class=1, patches_per_slide=2048, dim=256,
+        grid_rows=64, grid_cols=64, seed=5,
+    ))
+    pset = make_pset([p.embedding / np.linalg.norm(p.embedding) for p in pset.prototypes])
+    params = init_params(256, 4, 2, grid_rows=64, grid_cols=64, seed=0,
+                         pos_mode="learned_table")
+    return slides, pset, params
+
+
 class TestWsiScaleOracle:
     def test_directional_derivatives_at_wsi_shape(self):
         """The 1e-5 contract at the wsi-train shape: two 2048-row, d=256
@@ -482,13 +495,7 @@ class TestWsiScaleOracle:
         gradient. Its 1.5M scalars are far past finite_diff_check's limit,
         so the check is directional: one random unit direction within each
         leaf and one over the whole of theta."""
-        slides, pset = gen_synthetic(SyntheticConfig(
-            classes=2, slides_per_class=1, patches_per_slide=2048, dim=256,
-            grid_rows=64, grid_cols=64, seed=5,
-        ))
-        pset = make_pset([p.embedding / np.linalg.norm(p.embedding) for p in pset.prototypes])
-        params = init_params(256, 4, 2, grid_rows=64, grid_cols=64, seed=0,
-                             pos_mode="learned_table")
+        slides, pset, params = wsi_shape_instance()
         rng = np.random.default_rng(0)
         params = params.with_flat(params.flatten() + 0.02 * rng.standard_normal(params.n_scalars))
         report = finite_diff_check(slides, params, pset, 1.0)
@@ -551,6 +558,33 @@ class TestPeakMemory:
         grad = _traced_peak(lambda: grad_total_loss([slide], params, pset, 1.0))
         fwd = _traced_peak(lambda: pass_fn(slide, params, pset))
         assert fwd <= 0.6 * grad, (fwd, grad)
+
+    def test_wsi_shape_gradient_pass(self):
+        """A gradient pass over two 2048-row, d=256 slides of a 64 x 64 grid
+        (S=4, two heads, learned table) peaks at 56 MB or less: each
+        occupancy class pads its windows to its own capacity, not S^2, and
+        the pass keeps one copy of each buffer (65 MB with every window
+        padded to S^2 and z cached beside y)."""
+        slides, pset, params = wsi_shape_instance()
+        peak = _traced_peak(lambda: grad_total_loss(slides, params, pset, 1.0))
+        assert peak <= 56e6, f"{peak / 1e6:.1f} MB"
+
+    def test_post_fps_gradient_pass(self):
+        """A gradient pass over one slide of 512 patches scattered over a
+        128 x 128 grid (farthest-point sampling's output from 8,192 cells;
+        d=512, S=4, two heads, sinusoidal) peaks at 60 MB or less: most of
+        its windows hold one or two patches, and a padded S^2 grid held
+        eight times its rows (97 MB)."""
+        rng = np.random.default_rng(5)
+        cells = rng.choice(rng.choice(128 * 128, size=8192, replace=False), size=512,
+                           replace=False)
+        slide = SlideRecord("fps", 1, np.stack(np.divmod(np.sort(cells), 128), axis=1),
+                            rng.standard_normal((512, 512)), 128, 128)
+        raw = rng.standard_normal((4, 512))
+        pset = make_pset(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        params = init_params(512, 4, 2, seed=0)
+        peak = _traced_peak(lambda: grad_total_loss([slide], params, pset, 1.0))
+        assert peak <= 60e6, f"{peak / 1e6:.1f} MB"
 
 
 # what a ValueError at the numeric edges names
@@ -685,19 +719,40 @@ class TestAdamW:
 
 
     def test_previous_params_unchanged(self):
-        """adamw_step returns new params over a new vector; the caller's
-        params, its gradient and its state are left as they were."""
+        """adamw_step returns new params over a new vector and leaves the
+        caller's params and gradient as they were. The moments are updated
+        in place: the state returned is the dict passed in, with its own m
+        and v arrays overwritten and its step advanced."""
         slides, pset, params = random_instance(7, randomize_params=True)
         _, grads = grad_total_loss(slides, params, pset, 1.0)
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
         _, state = adamw_step(params, grads, None, cfg)
-        before = [params.flatten(), grads.flatten(), state["m"].copy(), state["v"].copy()]
-        new, _ = adamw_step(params, grads, state, cfg)
+        m, v = state["m"], state["v"]
+        before = [params.flatten(), grads.flatten(), m.copy(), v.copy()]
+        new, after = adamw_step(params, grads, state, cfg)
         assert not np.shares_memory(new.theta, params.theta)
         assert np.any(new.flatten() != before[0])
-        for now, then in zip([params.flatten(), grads.flatten(), state["m"], state["v"]],
-                             before):
+        for now, then in zip([params.flatten(), grads.flatten()], before):
             np.testing.assert_array_equal(now, then)
+        assert after is state and after["m"] is m and after["v"] is v
+        assert after["step"] == 2
+        assert np.any(m != before[2]) and np.any(v != before[3])
+
+    def test_peak_memory_two_vectors(self):
+        """Over its live inputs (params, gradient, moments and the cached
+        decay mask), a step's traced peak is at most two parameter-sized
+        vectors, the new theta and one scratch vector, and 128 KiB for
+        numpy's 64 KiB buffer casting the bool mask and the new views."""
+        params = init_params(32, 2, 2, grid_rows=64, grid_cols=64, seed=0,
+                             pos_mode="learned_table")
+        rng = np.random.default_rng(0)
+        grads = params.with_flat(rng.standard_normal(params.n_scalars))
+        cfg = TrainConfig()
+        _, state = adamw_step(params, grads, None, cfg)
+        params.decay_mask()
+        peak = _traced_peak(lambda: adamw_step(params, grads, state, cfg))
+        assert peak <= 2 * params.theta.nbytes + 128 * 1024, (
+            f"peak {peak} B over {params.theta.nbytes} B vectors")
 
 
 def _adamw_as_one_expression(params, grads, state, cfg):
@@ -744,9 +799,11 @@ class TestAdamWBytes:
                      "v": 0.01 * rng.random(n)}
             state["v"][edge[16:24]] = 0.0
         cfg = TrainConfig(learning_rate=lr, weight_decay=wd)
+        # adamw_step updates the moments in place: the reference reads a copy
+        before = None if state is None else {k: np.copy(x) for k, x in state.items()}
         with np.errstate(over="ignore"):  # (1 - b2) * g * g of g = 1e200
             new, new_state = adamw_step(params, grads, state, cfg)
-            want_theta, want_m, want_v = _adamw_as_one_expression(params, grads, state, cfg)
+            want_theta, want_m, want_v = _adamw_as_one_expression(params, grads, before, cfg)
         assert new_state["step"] == t
         assert new.theta.tobytes() == want_theta.tobytes()
         assert new_state["m"].tobytes() == want_m.tobytes()
