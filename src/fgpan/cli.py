@@ -27,10 +27,9 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import get_args
 
-import numpy as np
-
 from .data import (
     SyntheticConfig,
+    _header_fields,
     _json_object,
     coarse_prototypes,
     gen_synthetic,
@@ -278,9 +277,20 @@ def _cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_model(cfg: RunConfig, where: str, **model) -> None:
+    """Refuse a model setting (dim, window_size, heads, pos_mode) that
+    differs from the run's flag of that name."""
+    for key, value in model.items():
+        want = cfg.choice(key) if key in _CHOICES else getattr(cfg, key)
+        if value != want:
+            raise ValueError(f"{where} {key}={value}, run expects {want}")
+
+
 def _cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "data", "prototypes", "checkpoint")
     slides = _apply_selection(cfg, _load_slides(cfg.data)[0])
+    for s in slides:
+        _check_model(cfg, f"slide {s.slide_id!r}", dim=s.dim)
     pset = normalize_prototypes(load_prototypes(cfg.prototypes))
     params, losses = train(
         slides,
@@ -302,9 +312,13 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _infer_params(cfg: RunConfig, slides, checkpoint):
     """The checkpoint's parameters, taken from the batch that read it with
-    the slides, or fresh ones without a checkpoint."""
+    the slides and refused if the run's flags name another model, or fresh
+    ones without a checkpoint."""
     if checkpoint:
-        return checkpoint[0]()
+        params = checkpoint[0]()
+        keys = ("dim", "window_size", "heads", "pos_mode")
+        _check_model(cfg, f"{cfg.checkpoint}: checkpoint", **{k: params.dims[k] for k in keys})
+        return params
     print(f"note: no --checkpoint; using fresh-init parameters (seed {cfg.seed})",
           file=sys.stderr)
     grid_rows = max(s.grid_rows for s in slides)
@@ -341,9 +355,7 @@ def _cmd_infer(cfg: RunConfig) -> int:
     _require(cfg, "data", "prototypes", "out")
     extra = []
     if cfg.checkpoint:  # read in the slides' batch, taken in _infer_params
-        extra.append(("checkpoint", partial(load_checkpoint, cfg.checkpoint, expect_dim=cfg.dim,
-                                            expect_window_size=cfg.window_size,
-                                            expect_heads=cfg.heads)))
+        extra.append(("checkpoint", partial(load_checkpoint, cfg.checkpoint)))
     slides, checkpoint = _load_slides(cfg.data, *extra)
     slides = _apply_selection(cfg, slides)
     pset = normalize_prototypes(load_prototypes(cfg.prototypes))
@@ -380,28 +392,23 @@ def _cmd_eval(cfg: RunConfig) -> int:
             if not ln.strip():
                 continue
             where = f"{cfg.predictions} line {lineno}"
-            obj = _json_object(ln, where, "prediction")
-            absent = [key for key in ("slide_id", "predicted", "P") if key not in obj]
-            if absent:
-                raise ValueError(f"{where}: prediction lacks {', '.join(absent)}")
-            sid = obj["slide_id"]
-            if not isinstance(sid, str) or sid not in truth:
+            sid, predicted, probs = _header_fields(
+                _json_object(ln, where, "prediction"), where, "prediction",
+                slide_id="str", predicted="int", P="vector",
+            )
+            if sid not in truth:
                 raise ValueError(f"prediction for unknown slide {sid!r}")
             if sid in by_id:
                 raise ValueError(f"duplicate prediction for slide {sid!r}")
             try:
-                probs = np.asarray(obj["P"], dtype=np.float64)
                 if n_classes is None:
-                    n_classes = probs.size
-                if probs.shape != (n_classes,):
+                    n_classes = len(probs)
+                if len(probs) != n_classes:
                     raise ValueError(
-                        f"P has shape {probs.shape}, other rows have {n_classes} entries"
+                        f"P has shape ({len(probs)},), other rows have {n_classes} entries"
                     )
-                predicted = obj["predicted"]
-                if isinstance(predicted, bool) or not isinstance(predicted, int):
-                    raise ValueError(f"predicted must be an integer, got {predicted!r}")
                 by_id[sid] = EvalRecord(sid, truth[sid], predicted, probs)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"slide {sid!r}: bad prediction: {exc}") from exc
     missing = sorted(set(truth) - set(by_id))
     if missing:

@@ -576,24 +576,27 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[list[SlideRecord], PrototypeSet
     return slides, pset
 
 
-def coarse_prototypes(
-    pset: PrototypeSet, seed: int, spread: float = 0.1, jitter: float = 0.6
-) -> PrototypeSet:
+_COARSE_SPREAD = 0.1
+_COARSE_JITTER = 0.6
+
+
+def coarse_prototypes(pset: PrototypeSet, seed: int) -> PrototypeSet:
     """Name-only stand-in prototypes: overlapping and systematically misaligned.
 
     All classes are pulled toward the shared mean direction (small pairwise
-    separation) and perturbed by a seeded random offset of norm ~jitter, so
-    the misalignment is class-level and survives slide-level averaging.
-    Descriptions collapse to the bare name. The jitter stream is decorrelated
-    from the generator stream that produced the prototypes themselves.
+    separation: _COARSE_SPREAD) and perturbed by a seeded random offset of
+    norm ~_COARSE_JITTER, so the misalignment is class-level and survives
+    slide-level averaging. Descriptions collapse to the bare name. The
+    jitter stream is decorrelated from the generator stream that produced
+    the prototypes themselves.
     """
     t = pset.matrix()
     shared = _unit(t.sum(axis=0))
     rng = np.random.default_rng([seed, 0xC0A25E])
-    scale = jitter / math.sqrt(pset.dim)
+    scale = _COARSE_JITTER / math.sqrt(pset.dim)
     out = []
     for p in pset.prototypes:
         noise = rng.standard_normal(pset.dim)
-        v = _unit(shared + spread * p.embedding + scale * noise)
+        v = _unit(shared + _COARSE_SPREAD * p.embedding + scale * noise)
         out.append(ClassPrototype(p.class_id, p.name, p.name, v))
     return PrototypeSet(pset.dim, out)

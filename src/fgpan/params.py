@@ -315,9 +315,8 @@ def _fast_decimals(text: str) -> np.ndarray | None:
     return vals if np.isfinite(vals).all() else None
 
 
-def _checkpoint_zeros(line: str, path, expects: dict) -> ModelParams:
-    """Zero parameters of the dims a checkpoint header line declares, each
-    checked against expects (dim, window_size, heads; None: any)."""
+def _checkpoint_zeros(line: str, path) -> ModelParams:
+    """Zero parameters of the dims a checkpoint header line declares."""
     header = _json_object(line, path, "checkpoint header")
     if header.get("format") != "fgpan-checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
@@ -331,9 +330,6 @@ def _checkpoint_zeros(line: str, path, expects: dict) -> ModelParams:
     dims = dict(zip(kinds, _header_fields(header, path, "checkpoint header", **kinds)))
     if dims["pos_mode"] == "learned_table" and None in (dims["grid_rows"], dims["grid_cols"]):
         raise ValueError(f"{path}: learned_table checkpoint without grid dims")
-    for label, want in expects.items():
-        if want is not None and dims[label] != want:
-            raise ValueError(f"{path}: checkpoint {label}={dims[label]}, run expects {want}")
     try:
         return _zeros(**dims)
     except ValueError as exc:
@@ -365,15 +361,8 @@ def _line_pieces(fh):
             return
 
 
-def load_checkpoint(
-    path,
-    *,
-    expect_dim: int | None = None,
-    expect_window_size: int | None = None,
-    expect_heads: int | None = None,
-) -> ModelParams:
-    """Read a checkpoint in one pass, optionally enforcing the run's model
-    dims.
+def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint in one pass; the model dims are the header's.
 
     Blank lines are skipped; the first other line is the header, and each
     line after it is "<leaf-name> v1 v2 ...", leaves in any order. A leaf
@@ -385,14 +374,13 @@ def load_checkpoint(
     missing, miscounted or non-finite leaf raises a ValueError naming the
     file and the leaf.
     """
-    expects = dict(dim=expect_dim, window_size=expect_window_size, heads=expect_heads)
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         while first.isspace():
             first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty checkpoint")
-        params = _checkpoint_zeros(first, path, expects)
+        params = _checkpoint_zeros(first, path)
         seen = set()
         while True:
             pieces = _line_pieces(fh)

@@ -22,10 +22,11 @@ forward and 4L d^3 per backward whatever the rows, so a call over few rows
 at large d runs slower than the three-projection form did (README,
 "Refinement cost").
 
-forward_slides, total_loss and grad_total_loss run a batch as stacks:
-consecutive slides whose rows together fit in _STACK_ROWS share one forward
-(and one backward) over their concatenated rows. The window partition
-groups rows by (slide, tile), so no window spans two slides. Only the
+forward_slides, total_loss and grad_total_loss are loops over one
+generator, _passes, which runs a batch as stacks: consecutive slides whose
+rows together fit in _STACK_ROWS share one forward (and one backward) over
+their concatenated rows. The window partition groups rows by (slide,
+tile), so no window spans two slides. Only the
 aggregation softmax, the slide distribution and the cross entropies are
 taken slide by slide. A slide's results from a shared stack agree with its
 own forward to rounding: the row count of a product can change its last
@@ -189,9 +190,10 @@ def _forward_core(
     """The forward pass of a stack of slides; every pass (forward_slides,
     total_loss, grad_total_loss) runs through here.
 
-    fold is _fold(params), formed once per call by the caller, or None to
-    bypass the refinement stage. A stack concatenates its slides' rows in f
-    and coords, sizes[j] rows for slide j. alpha and log_alpha are
+    t_mat is the checked prototype matrix and fold is _fold(params), or
+    None to bypass the refinement stage; _passes forms both once per call,
+    and the cache keeps both for the backward. A stack concatenates its
+    slides' rows in f and coords, sizes[j] rows for slide j. alpha and log_alpha are
     normalized within each slide, and p_slide is (n_slides, C). Returns
     the intermediates the backward reads, one copy of each: u_in =
     [H || phi] is built once and h, phi are views of its halves; h_hat is
@@ -209,7 +211,7 @@ def _forward_core(
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
-    cache: dict = {"f": f, "fold": fold, "sizes": sizes, "bounds": bounds}
+    cache: dict = {"f": f, "t_mat": t_mat, "fold": fold, "sizes": sizes, "bounds": bounds}
     d = params.dim
     if fold is not None:
         mq, p_fuse, c = fold
@@ -302,7 +304,7 @@ def _stack_objective(cache: dict, labels: list[int], lam: float):
 
 def _backward_core(
     cache: dict, labels: list[int], lam: float, r: np.ndarray, params: ModelParams,
-    t_mat: np.ndarray, grads: ModelParams, d_fold,
+    grads: ModelParams, d_fold,
 ) -> None:
     """Accumulate the (unscaled) gradient contribution of a stack's slides
     into grads, and that of _fold's products into d_fold (zeros shaped
@@ -329,7 +331,7 @@ def _backward_core(
     # dh = (d_hhat - (d_hhat . h_hat) h_hat) / |h| in that order, in place
     h_norm = cache["h_norm"][:, None]
     h_hat = cache["h"] / h_norm
-    dh = ds @ t_mat  # d_hhat
+    dh = ds @ cache["t_mat"]  # d_hhat
     h_hat *= (dh * h_hat).sum(axis=1, keepdims=True)
     dh -= h_hat
     dh /= h_norm
@@ -376,6 +378,8 @@ def _backward_core(
 
 
 def _require_labeled(slides: list[SlideRecord], n_classes: int) -> None:
+    if not slides:
+        raise ValueError("empty batch")
     for s in slides:
         if s.label is None:
             raise ValueError(f"slide {s.slide_id!r} is unlabeled")
@@ -399,19 +403,26 @@ def _stacks(slides: list[SlideRecord]) -> list[list[SlideRecord]]:
     return stacks
 
 
-def _forward_stack(
-    stack: list[SlideRecord], params: ModelParams, t_mat: np.ndarray, fold,
-    for_backward: bool,
-) -> dict:
-    """_forward_core over a stack's concatenated rows; a slide alone is not
-    copied."""
-    if len(stack) == 1:
-        f, coords = stack[0].matrix(), stack[0].coords()
-    else:
-        f = np.concatenate([s.matrix() for s in stack])
-        coords = np.concatenate([s.coords() for s in stack])
-    return _forward_core(f, coords, params, t_mat, fold, [s.n_patches for s in stack],
-                         for_backward)
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated; a lone one is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _passes(slides: list[SlideRecord], params: ModelParams, pset: PrototypeSet,
+            lwa_gff: bool, for_backward: bool):
+    """(stack, its _forward_core cache) for each stack of the batch, in
+    order, for forward_slides, total_loss and grad_total_loss alike. The
+    prototypes are checked and _fold formed once per call. The cache is
+    yielded, never bound here, so once the caller drops it, it is freed
+    before the next stack's forward."""
+    if not slides:
+        return
+    t_mat = _checked_proto_matrix(pset, slides, params)
+    fold = _fold(params) if lwa_gff else None
+    for stack in _stacks(slides):
+        yield stack, _forward_core(_joined([s.matrix() for s in stack]),
+                                   _joined([s.coords() for s in stack]), params, t_mat, fold,
+                                   [s.n_patches for s in stack], for_backward)
 
 
 def forward_slides(
@@ -421,23 +432,16 @@ def forward_slides(
     *,
     lwa_gff: bool = True,
 ) -> list:
-    """Full pipeline for each slide, in input order, run as stacks.
+    """Full pipeline for each slide, in input order, run as stacks (_passes).
 
     Returns one (the (M, C) patch class probabilities, SlidePrediction) per
     slide. With lwa_gff=False the refinement stage is bypassed and raw
-    embeddings feed the classifier. The prototypes are checked and _fold
-    formed once per call, and each stack's intermediates are freed before
-    the next stack's forward. A fault raises ValueError; over several
+    embeddings feed the classifier. A fault raises ValueError; over several
     slides it may be a later slide's fault than the first one's. Running
     them one at a time finds the first (cli's infer falls back to that).
     """
-    if not slides:
-        return []
-    t_mat = _checked_proto_matrix(pset, slides, params)
-    fold = _fold(params) if lwa_gff else None
     out = []
-    for stack in _stacks(slides):
-        cache = _forward_stack(stack, params, t_mat, fold, for_backward=False)
+    for _, cache in _passes(slides, params, pset, lwa_gff, False):
         p, alpha = cache["p"], cache["alpha"]
         for (a, b), p_j in zip(cache["bounds"], cache["p_slide"]):
             out.append((p[a:b], SlidePrediction(alpha[a:b], p_j, int(np.argmax(p_j)))))
@@ -476,14 +480,9 @@ def total_loss(
     lwa_gff: bool = True,
 ) -> float:
     """Mean over the batch of [mean patch CE + lambda * slide CE]."""
-    if not slides:
-        raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
-    t_mat = _checked_proto_matrix(pset, slides, params)
-    fold = _fold(params) if lwa_gff else None
     total = 0.0
-    for stack in _stacks(slides):
-        cache = _forward_stack(stack, params, t_mat, fold, for_backward=False)
+    for stack, cache in _passes(slides, params, pset, lwa_gff, False):
         total += _stack_objective(cache, [s.label for s in stack], lam)[0]
         del cache  # freed before the next stack's forward
     return _finite(total / len(slides))
@@ -499,20 +498,16 @@ def grad_total_loss(
 ) -> tuple[float, ModelParams]:
     """total_loss and its exact gradient for every parameter leaf, from one
     forward and one backward pass per stack."""
-    if not slides:
-        raise ValueError("empty batch")
     _require_labeled(slides, pset.n_classes)
-    t_mat = _checked_proto_matrix(pset, slides, params)
-    fold = _fold(params) if lwa_gff else None
-    d_fold = None if fold is None else tuple(np.zeros_like(x) for x in fold)
     grads = grad_zeros(params)
-    total = 0.0
-    for stack in _stacks(slides):
+    total, d_fold = 0.0, None
+    for stack, cache in _passes(slides, params, pset, lwa_gff, True):
+        if d_fold is None and cache["fold"] is not None:  # once, shaped like _fold's
+            d_fold = tuple(np.zeros_like(x) for x in cache["fold"])
         labels = [s.label for s in stack]
-        cache = _forward_stack(stack, params, t_mat, fold, for_backward=True)
         loss, r = _stack_objective(cache, labels, lam)
         total += loss
-        _backward_core(cache, labels, lam, r, params, t_mat, grads, d_fold)
+        _backward_core(cache, labels, lam, r, params, grads, d_fold)
         del cache, r  # freed before the next stack's forward
     if d_fold is not None:
         _unfold_grads(params, d_fold, grads)
@@ -531,17 +526,22 @@ def _slope(loss_at, base: np.ndarray, v: np.ndarray, step: float) -> float:
     return (4.0 * central(step / 2) - central(step)) / 3.0
 
 
-def _directions(params: ModelParams, limit: int):
+# the largest theta whose every scalar finite_diff_check checks
+_FD_SCALARS = 5000
+
+
+def _directions(params: ModelParams):
     """(leaf name, unit direction in theta) pairs: every coordinate of
-    every leaf when theta has at most `limit` scalars; otherwise one random
-    direction within each leaf, so that small leaves such as log_tau are not
-    drowned out by large ones, and one over the whole of theta, named
-    "theta". The random directions are seeded, so a report is reproducible."""
+    every leaf when theta has at most _FD_SCALARS scalars; otherwise one
+    random direction within each leaf, so that small leaves such as log_tau
+    are not drowned out by large ones, and one over the whole of theta,
+    named "theta". The random directions are seeded, so a report is
+    reproducible."""
     n = params.n_scalars
     rng = np.random.default_rng(0)
     pos = 0
     for name, leaf in params.leaves():
-        if n <= limit:
+        if n <= _FD_SCALARS:
             for i in range(pos, pos + leaf.size):
                 v = np.zeros(n)
                 v[i] = 1.0
@@ -551,7 +551,7 @@ def _directions(params: ModelParams, limit: int):
             v[pos:pos + leaf.size] = rng.standard_normal(leaf.size)
             yield name, v / np.linalg.norm(v)
         pos += leaf.size
-    if n > limit:
+    if n > _FD_SCALARS:
         v = rng.standard_normal(n)
         yield "theta", v / np.linalg.norm(v)
 
@@ -564,17 +564,16 @@ def finite_diff_check(
     step: float = 1e-2,
     *,
     lwa_gff: bool = True,
-    limit: int = 5000,
 ) -> dict[str, float]:
     """The worst relative error of the analytic gradient along each of
-    _directions(params, limit), per parameter leaf (and "theta" for the
+    _directions(params), per parameter leaf (and "theta" for the
     direction over all of it), against finite differences of total_loss.
 
     The analytic derivative along a unit direction v is grads.theta . v;
     the numeric one is _slope at `step`. The relative error is
-    |a - n| / max(1e-8, |a| + |n|). Per-scalar checks past `limit` would
-    take four loss passes per scalar (hours at the wsi-train shape), hence
-    the directional check there (a JVP check, Baydin et al.,
+    |a - n| / max(1e-8, |a| + |n|). Per-scalar checks past _FD_SCALARS
+    would take four loss passes per scalar (hours at the wsi-train shape),
+    hence the directional check there (a JVP check, Baydin et al.,
     arXiv:1502.05767)."""
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
@@ -585,7 +584,7 @@ def finite_diff_check(
         return total_loss(slides, params.with_flat(vec), pset, lam, lwa_gff=lwa_gff)
 
     worst: dict[str, float] = {}
-    for name, v in _directions(params, limit):
+    for name, v in _directions(params):
         a = float(grads.theta @ v)
         numeric = _slope(loss_at, base, v, step)
         rel = float(abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)))

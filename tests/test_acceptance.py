@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from conftest import (
     dense_attention_reference,
     forward_cache,
@@ -285,9 +286,14 @@ def test_criterion_8_metrics_fixtures():
         assert auroc_ovr(perfect) == 1.0
 
 
-def test_criterion_9_cli_determinism(tmp_path, capsys):
+@pytest.mark.parametrize("select", [["--select", "all"], ["--select", "fps", "--m-max", "6"]],
+                         ids=["all", "fps"])
+@pytest.mark.parametrize("lwa_gff", ["on", "off"])
+@pytest.mark.parametrize("pos_mode", ["sin", "table"])
+def test_criterion_9_cli_determinism(tmp_path, capsys, pos_mode, lwa_gff, select):
     """gen, train, and infer rerun with identical seeds produce byte-identical
-    primary outputs."""
+    primary outputs, for every positional mode, with the refinement stage on
+    and off, and with and without patch selection."""
     with criterion(9, "gen/train/infer byte-identical across reruns"):
         outputs = []
         for run in ("a", "b"):
@@ -297,6 +303,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             preds = root / "preds.jsonl"
             root.mkdir()
             base = ["--dim", "8", "--seed", "13"]
+            model = ["--pos-mode", pos_mode, "--lwa-gff", lwa_gff, *select] + base
             assert dispatch(parse_config(
                 ["gen", "--classes", "2", "--slides-per-class", "2",
                  "--patches-per-slide", "9", "--grid-rows", "4", "--grid-cols", "4",
@@ -304,11 +311,11 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             assert dispatch(parse_config(
                 ["train", "--data", str(data),
                  "--prototypes", str(data / "prototypes.jsonl"),
-                 "--checkpoint", str(ckpt), "--iterations", "10"] + base)) == 0
+                 "--checkpoint", str(ckpt), "--iterations", "10"] + model)) == 0
             assert dispatch(parse_config(
                 ["infer", "--data", str(data),
                  "--prototypes", str(data / "prototypes.jsonl"),
-                 "--checkpoint", str(ckpt), "--out", str(preds)] + base)) == 0
+                 "--checkpoint", str(ckpt), "--out", str(preds)] + model)) == 0
             blob = b""
             for path in sorted(data.iterdir()) + [ckpt, preds]:
                 blob += path.name.encode() + b"\0" + path.read_bytes()

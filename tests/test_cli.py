@@ -451,7 +451,7 @@ class TestPipeline:
         self.write_predictions(data, preds, edit_last=lambda rec: rec.pop(field))
         code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
         assert code == 1
-        assert f"incomplete.jsonl line 4: prediction lacks {field}" in err
+        assert f"incomplete.jsonl line 4: malformed prediction: missing field {field!r}" in err
 
     def test_eval_rejects_p_row_of_wrong_length(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -470,11 +470,10 @@ class TestPipeline:
         run(GEN_SMALL + ["--out", str(data)], capsys)
         preds = tmp_path / "typed.jsonl"
         self.write_predictions(data, preds, edit_last=lambda rec: rec.update(predicted=value))
-        last_id = json.loads(preds.read_text().splitlines()[-1])["slide_id"]
         code, _, err = run(["eval", "--data", str(data), "--predictions", str(preds)], capsys)
         assert code == 1
-        assert (f"slide {last_id!r}: bad prediction: predicted must be an integer, "
-                f"got {value!r}") in err
+        assert (f"typed.jsonl line 4: malformed prediction: field 'predicted' must be an "
+                f"integer, got {value!r}") in err
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_eval_rejects_non_finite_probability(self, token, tmp_path, capsys):
@@ -491,8 +490,25 @@ class TestPipeline:
         code, stdout, err = run(["eval", "--data", str(data), "--predictions", str(preds)],
                                 capsys)
         assert code == 1
-        assert f"slide {rec['slide_id']!r}: bad prediction: probs must be finite" in err
+        bad = json.loads(f"[{token}, 1.0]")
+        assert ("nan.jsonl line 4: malformed prediction: field 'P' must be a non-empty list "
+                f"of finite numbers, got {bad!r}") in err
         assert "auroc" not in stdout
+
+    @pytest.mark.parametrize("probs", [["0.22", "0.78"], [True, False]], ids=["str", "bool"])
+    def test_eval_rejects_p_that_is_not_numbers(self, probs, tmp_path, capsys):
+        """numpy reads ["0.22", "0.78"] and [true, false] as distributions;
+        eval refuses them as it refuses any non-number in a vector field."""
+        data = tmp_path / "data"
+        run(GEN_SMALL + ["--out", str(data)], capsys)
+        preds = tmp_path / "typed.jsonl"
+        self.write_predictions(data, preds, edit_last=lambda rec: rec.update(P=probs))
+        code, stdout, err = run(["eval", "--data", str(data), "--predictions", str(preds)],
+                                capsys)
+        assert code == 1
+        assert ("typed.jsonl line 4: malformed prediction: field 'P' must be a non-empty list "
+                f"of finite numbers, got {probs!r}") in err
+        assert "bacc" not in stdout
 
     def test_eval_rejects_line_that_is_not_an_object(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -514,6 +530,42 @@ class TestPipeline:
         )
         assert code == 1
         assert "malformed checkpoint header: missing field 'dim'" in err
+
+    @pytest.mark.parametrize("flags, mismatch", [
+        (["--dim", "16", "--pos-mode", "table"], "dim=8, run expects 16"),
+        (["--dim", "8", "--pos-mode", "table", "--window-size", "3"],
+         "window_size=2, run expects 3"),
+        (["--dim", "8", "--pos-mode", "table", "--heads", "1"], "heads=2, run expects 1"),
+        (["--dim", "8"], "pos_mode=learned_table, run expects sinusoidal"),
+    ], ids=["dim", "window_size", "heads", "pos_mode"])
+    def test_infer_refuses_checkpoint_of_another_model(self, corpus, tmp_path, capsys, flags,
+                                                       mismatch):
+        """A checkpoint whose model differs from the run's flags is refused
+        by name, before any prediction is written: a learned-table
+        checkpoint used to run under an infer that echoed pos_mode sin."""
+        ckpt, preds = tmp_path / "table.ckpt", tmp_path / "p.jsonl"
+        save_checkpoint(init_params(8, 2, 2, grid_rows=4, grid_cols=4, seed=0,
+                                    pos_mode="learned_table"), ckpt)
+        code, err = main_exit(
+            ["infer", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--out", str(preds), *flags], capsys,
+        )
+        assert code == 1
+        assert err == f"error (infer): {ckpt}: checkpoint {mismatch}\n"
+        assert not preds.exists()
+
+    def test_train_refuses_slides_of_another_dim(self, corpus, tmp_path, capsys):
+        """d=8 slides under the default --dim 16 are refused by name; train
+        used to echo "dim": 16 and write a dim-8 checkpoint."""
+        ckpt = tmp_path / "model.ckpt"
+        code, err = main_exit(
+            ["train", "--data", str(corpus), "--prototypes", str(corpus / "prototypes.jsonl"),
+             "--checkpoint", str(ckpt), "--iterations", "1"], capsys,
+        )
+        first = min(p.stem for p in corpus.glob("*.slide"))
+        assert code == 1
+        assert err == f"error (train): slide {first!r} dim=8, run expects 16\n"
+        assert not ckpt.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -275,13 +275,6 @@ class TestCheckpoint:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["ckpt.txt"]
 
-    def test_dim_mismatch_rejected(self, tmp_path):
-        p = init_params(8, 2, 2, seed=0)
-        path = tmp_path / "ckpt.txt"
-        save_checkpoint(p, path)
-        with pytest.raises(ValueError, match="dim=8, run expects 16"):
-            load_checkpoint(path, expect_dim=16)
-
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(
@@ -450,7 +443,7 @@ def _token_reading(path) -> ModelParams:
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty checkpoint")
-        params = _checkpoint_zeros(first, path, {})
+        params = _checkpoint_zeros(first, path)
         seen = set()
         for ln in lines:
             name, _, rest = ln.partition(" ")

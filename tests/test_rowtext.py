@@ -344,7 +344,7 @@ def _outcome(results):
 def _serial_reads(paths, ckpt=None):
     reads = [partial(load_slide, p) for p in paths]
     if ckpt is not None:
-        reads.append(partial(load_checkpoint, ckpt, expect_dim=2))
+        reads.append(partial(load_checkpoint, ckpt))
     return reads
 
 

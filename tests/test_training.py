@@ -453,9 +453,13 @@ class TestForwardSlides:
             for a, b in ((p, want_p), (pred.alpha, want.alpha)):
                 assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), slide.slide_id
 
-    def test_fold_and_prototype_check_once_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("pass_fn", [lambda sl, p, ps: forward_slides(sl, p, ps),
+                                         lambda sl, p, ps: total_loss(sl, p, ps, 1.0),
+                                         lambda sl, p, ps: grad_total_loss(sl, p, ps, 1.0)],
+                             ids=["forward_slides", "total_loss", "grad_total_loss"])
+    def test_fold_and_prototype_check_once_per_call(self, monkeypatch, pass_fn):
         """Eighty 16-row slides, two stacks, form the fold and check the
-        prototypes once, not once per slide or per stack."""
+        prototypes once in each pass, not once per slide or per stack."""
         import fgpan.training as training
 
         slides, pset, params = random_instance(4, patches=16, n_slides=80, grid_rows=8,
@@ -470,7 +474,7 @@ class TestForwardSlides:
 
             monkeypatch.setattr(training, name, counted)
         assert len(_stacks(slides)) == 2
-        forward_slides(slides, params, pset)
+        pass_fn(slides, params, pset)
         assert calls == {"_fold": 1, "_checked_proto_matrix": 1}
 
 
