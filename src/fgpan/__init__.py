@@ -17,7 +17,6 @@ from .attention import (
     window_attention_backward,
 )
 from .data import (
-    ClassPrototype,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,

@@ -37,7 +37,6 @@ from .rowtext import atomic_text, reader, row_texts
 
 __all__ = [
     "SlideRecord",
-    "ClassPrototype",
     "PrototypeSet",
     "SyntheticConfig",
     "load_slide",
@@ -222,69 +221,46 @@ class SlideRecord:
         )
 
 
-@dataclass(eq=False)
-class ClassPrototype:
-    """Textual class anchor: name, description, and its embedding vector."""
-
-    class_id: int
-    name: str
-    description: str
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        self.class_id = int(self.class_id)
-        self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        if self.embedding.ndim != 1:
-            raise ValueError("prototype embedding must be one-dimensional")
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("prototype embedding contains non-finite values")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassPrototype)
-            and self.class_id == other.class_id
-            and self.name == other.name
-            and self.description == other.description
-            and np.array_equal(self.embedding, other.embedding)
-        )
-
-
-@dataclass(eq=False)
 class PrototypeSet:
-    """Class prototypes indexed densely 0..C-1, all sharing one dimension."""
+    """Class prototypes as one read-only (C, d) float64 matrix: row c is
+    class c's embedding, names[c] and descriptions[c] its text.
 
-    dim: int
-    prototypes: list[ClassPrototype]
+    The matrix is a copy of the caller's array, checked once: non-empty,
+    two-dimensional, one name and one description per row, finite rows.
+    """
 
-    def __post_init__(self):
-        self.dim = int(self.dim)
-        if not self.prototypes:
-            raise ValueError("prototype set is empty")
-        for i, p in enumerate(self.prototypes):
-            if p.class_id != i:
-                raise ValueError(
-                    f"prototype class_ids must be exactly 0..{len(self.prototypes) - 1}; "
-                    f"position {i} has class_id {p.class_id}"
-                )
-            if p.embedding.shape != (self.dim,):
-                raise ValueError(
-                    f"prototype {p.class_id} has dim {p.embedding.shape[0]}, expected {self.dim}"
-                )
+    def __init__(self, names, descriptions, embeddings):
+        t = np.array(embeddings, dtype=np.float64)
+        if t.ndim != 2 or t.size == 0:
+            raise ValueError(f"prototype set must be a non-empty (C, d) matrix, got shape {t.shape}")
+        self.names, self.descriptions = tuple(names), tuple(descriptions)
+        for what, texts in (("name", self.names), ("description", self.descriptions)):
+            if len(texts) != len(t):
+                raise ValueError(f"prototype rows 0..{len(t) - 1} need one {what} each, "
+                                 f"got {len(texts)}")
+        bad = np.flatnonzero(~np.isfinite(t).all(axis=1))
+        if bad.size:
+            raise ValueError(f"prototype row {bad[0]} contains non-finite values")
+        t.flags.writeable = False
+        self._matrix = t
+
+    @property
+    def dim(self) -> int:
+        return self._matrix.shape[1]
 
     @property
     def n_classes(self) -> int:
-        return len(self.prototypes)
+        return self._matrix.shape[0]
 
     def matrix(self) -> np.ndarray:
-        """Prototype embeddings stacked into a (C, d) array."""
-        return np.stack([p.embedding for p in self.prototypes])
+        """The (C, d) prototype embeddings, row c for class c (read-only)."""
+        return self._matrix
 
     def __eq__(self, other):
         return (
             isinstance(other, PrototypeSet)
-            and self.dim == other.dim
-            and len(self.prototypes) == len(other.prototypes)
-            and all(a == b for a, b in zip(self.prototypes, other.prototypes))
+            and (self.names, self.descriptions) == (other.names, other.descriptions)
+            and np.array_equal(self._matrix, other._matrix)
         )
 
 
@@ -435,18 +411,11 @@ reader("slide", load_slide)
 def save_prototypes(pset: PrototypeSet, path) -> None:
     """Write a prototype file, one JSON object per line, replacing it whole
     or not at all (rowtext.atomic_text)."""
-    lines = []
-    for p in pset.prototypes:
-        lines.append(
-            json.dumps(
-                {
-                    "class_id": p.class_id,
-                    "name": p.name,
-                    "description": p.description,
-                    "embedding": [float(v) for v in p.embedding],
-                }
-            )
-        )
+    lines = [
+        json.dumps({"class_id": c, "name": name, "description": desc,
+                    "embedding": [float(v) for v in row]})
+        for c, (name, desc, row) in enumerate(zip(pset.names, pset.descriptions, pset.matrix()))
+    ]
     with atomic_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -459,7 +428,7 @@ def load_prototypes(path) -> PrototypeSet:
     ValueError naming the file and the line.
     """
     seen_ids = set()
-    protos = []
+    names, descs, rows = [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, 1):
             if not ln.strip():
@@ -472,15 +441,16 @@ def load_prototypes(path) -> PrototypeSet:
             if cid in seen_ids:
                 raise ValueError(f"{path}: {what}: duplicate class_id {cid}")
             seen_ids.add(cid)
-            if protos and len(emb) != protos[0].embedding.size:
+            if rows and len(emb) != len(rows[0]):
                 raise ValueError(
-                    f"{path}: {what}: ragged embedding lengths "
-                    f"({len(emb)} vs {protos[0].embedding.size})"
+                    f"{path}: {what}: ragged embedding lengths ({len(emb)} vs {len(rows[0])})"
                 )
-            protos.append(ClassPrototype(len(protos), name, desc, emb))
-    if not protos:
+            names.append(name)
+            descs.append(desc)
+            rows.append(emb)
+    if not rows:
         raise ValueError(f"{path}: empty prototype file")
-    return PrototypeSet(protos[0].embedding.size, protos)
+    return PrototypeSet(names, descs, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +501,10 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[list[SlideRecord], PrototypeSet
     rng = np.random.default_rng(cfg.seed)
     protos, background = _class_directions(rng, cfg)
     pset = PrototypeSet(
-        cfg.dim,
-        [
-            ClassPrototype(
-                c,
-                f"class {c}",
-                f"class {c} with synthetic marker {c} and synthetic pattern {c}",
-                protos[c],
-            )
-            for c in range(cfg.classes)
-        ],
+        [f"class {c}" for c in range(cfg.classes)],
+        [f"class {c} with synthetic marker {c} and synthetic pattern {c}"
+         for c in range(cfg.classes)],
+        protos,
     )
     all_cells = np.arange(cfg.grid_rows * cfg.grid_cols)  # row-major cell keys
     m = cfg.patches_per_slide
@@ -594,9 +558,8 @@ def coarse_prototypes(pset: PrototypeSet, seed: int) -> PrototypeSet:
     shared = _unit(t.sum(axis=0))
     rng = np.random.default_rng([seed, 0xC0A25E])
     scale = _COARSE_JITTER / math.sqrt(pset.dim)
-    out = []
-    for p in pset.prototypes:
-        noise = rng.standard_normal(pset.dim)
-        v = _unit(shared + _COARSE_SPREAD * p.embedding + scale * noise)
-        out.append(ClassPrototype(p.class_id, p.name, p.name, v))
-    return PrototypeSet(pset.dim, out)
+    # one draw, row by row, is the stream of one draw per class; per-row
+    # norms: a batched norm rounds differently
+    noise = rng.standard_normal(t.shape)
+    rows = [_unit(shared + _COARSE_SPREAD * e + scale * n) for e, n in zip(t, noise)]
+    return PrototypeSet(pset.names, pset.names, rows)

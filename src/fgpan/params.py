@@ -205,10 +205,6 @@ class ModelParams(_Group):
     def window_size(self) -> int:
         return self._dims["window_size"]
 
-    @property
-    def n_heads(self) -> int:
-        return self._dims["heads"]
-
     def __getitem__(self, name: str) -> np.ndarray:
         """The view of the leaf called name."""
         return self._views[name]

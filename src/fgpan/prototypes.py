@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassPrototype, PrototypeSet
+from .data import PrototypeSet
 
 __all__ = [
     "PROMPT_TEMPLATE",
@@ -63,14 +63,15 @@ def render_description(t: DescriptionTriple) -> str:
 
 
 def normalize_prototypes(pset: PrototypeSet) -> PrototypeSet:
-    """Rescale every embedding to unit L2 norm, preserving direction."""
-    out = []
-    for p in pset.prototypes:
-        n = float(np.linalg.norm(p.embedding))
+    """Rescale every embedding to unit L2 norm, preserving direction. Norms
+    are taken one row at a time: a batched norm rounds differently."""
+    rows = []
+    for c, e in enumerate(pset.matrix()):
+        n = float(np.linalg.norm(e))
         if n == 0.0:
-            raise ValueError(f"prototype {p.class_id} has a zero embedding")
-        out.append(ClassPrototype(p.class_id, p.name, p.description, p.embedding / n))
-    return PrototypeSet(pset.dim, out)
+            raise ValueError(f"prototype {c} has a zero embedding")
+        rows.append(e / n)
+    return PrototypeSet(pset.names, pset.descriptions, rows)
 
 
 def mean_description_embedding(vectors) -> np.ndarray:

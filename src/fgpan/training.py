@@ -49,7 +49,7 @@ from .attention import (
     window_attention,
     window_attention_backward,
 )
-from .data import ClassPrototype, PrototypeSet, SlideRecord
+from .data import PrototypeSet, SlideRecord
 from .params import ModelParams, grad_zeros, init_params
 from .prototypes import _NORM_TOL
 
@@ -735,10 +735,8 @@ def random_instance(
         slides.append(SlideRecord(f"rand_{seed}_{j}", label, coords, feats, grid_rows, grid_cols))
     raw = rng.standard_normal((classes, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    pset = PrototypeSet(
-        dim,
-        [ClassPrototype(c, f"class {c}", f"class {c}", raw[c]) for c in range(classes)],
-    )
+    names = [f"class {c}" for c in range(classes)]
+    pset = PrototypeSet(names, names, raw)
     params = init_params(
         dim,
         window_size,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fgpan.aggregation import sinusoidal_embeddings, table_rows
 from fgpan.attention import occupancy_classes, window_attention
-from fgpan.data import ClassPrototype, PrototypeSet, SlideRecord
+from fgpan.data import PrototypeSet, SlideRecord
 from fgpan.params import init_params
 from fgpan.training import _fold, _forward_core
 
@@ -162,11 +162,8 @@ def forward_cache(features, coords, params, protos, *, lwa_gff=True):
 
 
 def make_pset(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return PrototypeSet(
-        rows.shape[1],
-        [ClassPrototype(i, f"c{i}", f"d{i}", r) for i, r in enumerate(rows)],
-    )
+    return PrototypeSet([f"c{i}" for i in range(len(rows))],
+                        [f"d{i}" for i in range(len(rows))], rows)
 
 
 def make_slide(features, coords, label=0):

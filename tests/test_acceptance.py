@@ -240,10 +240,8 @@ def test_criterion_7_prototype_distance():
     exactly 0 for coincident ones."""
     with criterion(7, "prototype distance metric fixed points"):
         def pset_from(rows):
-            return fg.PrototypeSet(
-                len(rows[0]),
-                [fg.ClassPrototype(i, f"c{i}", f"c{i}", r) for i, r in enumerate(rows)],
-            )
+            names = [f"c{i}" for i in range(len(rows))]
+            return fg.PrototypeSet(names, names, rows)
 
         for c, d in ((2, 2), (3, 8), (5, 16)):
             ortho = pset_from(list(np.eye(d)[:c]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import forward_cache, make_pset, make_slide
 
-from fgpan.data import ClassPrototype, PrototypeSet
+from fgpan.data import PrototypeSet
 from fgpan.params import init_params
 from fgpan.training import forward_slide, total_loss
 
@@ -58,10 +58,7 @@ class TestScores:
             forward_slide(slide, raw_params(4), make_pset(np.eye(4)[:2]), lwa_gff=False)
 
     def test_unnormalized_prototypes_rejected(self):
-        pset = PrototypeSet(4, [
-            ClassPrototype(0, "a", "a", [2.0, 0.0, 0.0, 0.0]),
-            ClassPrototype(1, "b", "b", [0.0, 1.0, 0.0, 0.0]),
-        ])
+        pset = PrototypeSet(["a", "b"], ["a", "b"], [[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         slide = make_slide([[1.0, 0.0, 0.0, 0.0]], [(0, 0)])
         with pytest.raises(ValueError, match="normalized"):
             forward_slide(slide, raw_params(4), pset)

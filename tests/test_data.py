@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import fgpan.data
 from fgpan.data import (
-    ClassPrototype,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,
@@ -426,14 +425,47 @@ class TestBulkLoader:
         assert peak < 16 << 20, peak
 
 
+NOT_A_MATRIX = r"prototype set must be a non-empty \(C, d\) matrix, got shape "
+
+
+class TestPrototypeSet:
+    def test_matrix_is_a_read_only_copy(self):
+        """Unlike a SlideRecord's features (TestSlideFiles'
+        test_non_finite_rejected_before_write), the matrix is the set's own:
+        a later write to the caller's array does not reach it."""
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        pset = PrototypeSet(["a", "b"], ["x", "y"], rows)
+        rows[0, 0] = np.nan
+        np.testing.assert_array_equal(pset.matrix(), [[1.0, 0.0], [0.0, 1.0]])
+        assert not pset.matrix().flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pset.matrix()[1, 1] = 2.0
+        assert (pset.n_classes, pset.dim) == (2, 2)
+
+    @pytest.mark.parametrize("names, descs, rows, match", [
+        (["a"], ["x", "y"], np.eye(2), "prototype rows 0..1 need one name each, got 1"),
+        (["a", "b", "c"], ["x", "y"], np.eye(2), "prototype rows 0..1 need one name each, got 3"),
+        (["a", "b"], ["x"], np.eye(2), "prototype rows 0..1 need one description each, got 1"),
+        (["a", "b", "c"], ["x", "y", "z"], [[1.0, 0.0], [0.0, 1.0], [np.inf, 0.0]],
+         "prototype row 2 contains non-finite values"),
+        (["a", "b"], ["x", "y"], [[1.0, np.nan], [0.0, np.nan]],
+         "prototype row 0 contains non-finite values"),
+        ([], [], np.zeros((0, 4)), NOT_A_MATRIX + r"\(0, 4\)"),
+        (["a"], ["x"], np.zeros((1, 0)), NOT_A_MATRIX + r"\(1, 0\)"),
+        (["a"], ["x"], [1.0, 0.0], NOT_A_MATRIX + r"\(2,\)"),
+    ], ids=["few-names", "many-names", "few-descriptions", "inf-row", "nan-rows",
+            "no-rows", "no-columns", "one-dimensional"])
+    def test_refusal_names_the_rows(self, names, descs, rows, match):
+        with pytest.raises(ValueError, match="^" + match + "$"):
+            PrototypeSet(names, descs, rows)
+
+
 class TestPrototypeFiles:
     def make_set(self, dim=4, classes=3):
         rng = np.random.default_rng(0)
-        protos = [
-            ClassPrototype(c, f"class {c}", f"desc {c}", rng.standard_normal(dim))
-            for c in range(classes)
-        ]
-        return PrototypeSet(dim, protos)
+        return PrototypeSet([f"class {c}" for c in range(classes)],
+                            [f"desc {c}" for c in range(classes)],
+                            rng.standard_normal((classes, dim)))
 
     def test_parse_counts(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -507,8 +539,10 @@ class TestPrototypeFiles:
             '{"class_id": 10, "name": "b", "description": "y", "embedding": [0.0, 1.0]}\n'
         )
         back = load_prototypes(path)
-        assert [p.class_id for p in back.prototypes] == [0, 1]
-        assert [p.name for p in back.prototypes] == ["a", "b"]
+        assert back.names == ("a", "b") and back.descriptions == ("x", "y")
+        np.testing.assert_array_equal(back.matrix(), [[1.0, 0.0], [0.0, 1.0]])
+        save_prototypes(back, path)
+        assert [json.loads(ln)["class_id"] for ln in path.read_text().splitlines()] == [0, 1]
 
 
 class TestSyntheticGenerator:
@@ -519,7 +553,7 @@ class TestSyntheticGenerator:
         )
         slides, pset = gen_synthetic(cfg)
         for s in slides:
-            proto = pset.prototypes[s.label].embedding
+            proto = pset.matrix()[s.label]
             for vector in s.matrix():
                 np.testing.assert_array_equal(vector, proto)
 
@@ -613,4 +647,4 @@ class TestSyntheticGenerator:
         off = ~np.eye(4, dtype=bool)
         assert coarse_cos[off].mean() > fine_cos[off].mean()
         np.testing.assert_allclose(np.linalg.norm(coarse.matrix(), axis=1), 1.0, atol=1e-12)
-        assert all(p.description == p.name for p in coarse.prototypes)
+        assert coarse.descriptions == coarse.names

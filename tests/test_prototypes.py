@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fgpan.data import ClassPrototype, PrototypeSet
+from conftest import make_pset
 from fgpan.prototypes import (
     DescriptionTriple,
     interclass_distance,
@@ -14,14 +14,6 @@ from fgpan.prototypes import (
     render_description,
     render_prompt,
 )
-
-
-def pset_from_rows(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return PrototypeSet(
-        rows.shape[1],
-        [ClassPrototype(i, f"c{i}", f"d{i}", r) for i, r in enumerate(rows)],
-    )
 
 
 class TestPromptTemplate:
@@ -70,18 +62,18 @@ class TestDescriptionTemplate:
 
 class TestNormalization:
     def test_three_four_five(self):
-        pset = normalize_prototypes(pset_from_rows([[3.0, 4.0]]))
-        np.testing.assert_allclose(pset.prototypes[0].embedding, [0.6, 0.8], rtol=1e-15)
+        pset = normalize_prototypes(make_pset([[3.0, 4.0]]))
+        np.testing.assert_allclose(pset.matrix()[0], [0.6, 0.8], rtol=1e-15)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        pset = normalize_prototypes(pset_from_rows(rng.standard_normal((3, 5))))
+        pset = normalize_prototypes(make_pset(rng.standard_normal((3, 5))))
         again = normalize_prototypes(pset)
         np.testing.assert_allclose(again.matrix(), pset.matrix(), atol=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero embedding"):
-            normalize_prototypes(pset_from_rows([[0.0, 0.0]]))
+            normalize_prototypes(make_pset([[0.0, 0.0]]))
 
     def test_mean_description_embedding(self):
         vecs = [[1.0, 0.0], [0.0, 1.0]]
@@ -91,33 +83,33 @@ class TestNormalization:
 
 class TestInterclassDistance:
     def test_coincident_is_zero(self):
-        pset = pset_from_rows([[1.0, 0.0], [1.0, 0.0]])
+        pset = make_pset([[1.0, 0.0], [1.0, 0.0]])
         assert interclass_distance(pset) == 0.0
 
     def test_orthogonal_pair_is_sqrt2(self):
-        pset = pset_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        pset = make_pset([[1.0, 0.0], [0.0, 1.0]])
         assert abs(interclass_distance(pset) - math.sqrt(2)) < 1e-15
 
     def test_three_orthogonal_is_sqrt2(self):
-        pset = pset_from_rows(np.eye(3))
+        pset = make_pset(np.eye(3))
         assert abs(interclass_distance(pset) - math.sqrt(2)) < 1e-15
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((5, 6))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        base = interclass_distance(pset_from_rows(rows))
+        base = interclass_distance(make_pset(rows))
         for _ in range(5):
             perm = rng.permutation(5)
-            assert abs(interclass_distance(pset_from_rows(rows[perm])) - base) < 1e-12
+            assert abs(interclass_distance(make_pset(rows[perm])) - base) < 1e-12
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((4, 6))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        base = interclass_distance(pset_from_rows(rows))
-        rotated = interclass_distance(pset_from_rows(rows @ q))
+        base = interclass_distance(make_pset(rows))
+        rotated = interclass_distance(make_pset(rows @ q))
         assert abs(base - rotated) < 1e-12
 
     def test_matches_cosine_identity(self):
@@ -127,7 +119,7 @@ class TestInterclassDistance:
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         want = math.sqrt(2.0 - 2.0 * float(a @ b))
-        got = interclass_distance(pset_from_rows([a, b]))
+        got = interclass_distance(make_pset([a, b]))
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("c", range(2, 13))
@@ -138,12 +130,12 @@ class TestInterclassDistance:
             rows = rng.standard_normal((c, d))
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             want = pdist(rows).mean()
-            assert abs(interclass_distance(pset_from_rows(rows)) - want) <= 1e-14 * want
+            assert abs(interclass_distance(make_pset(rows)) - want) <= 1e-14 * want
 
     def test_requires_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
-            interclass_distance(pset_from_rows([[1.0, 0.0]]))
+            interclass_distance(make_pset([[1.0, 0.0]]))
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            interclass_distance(pset_from_rows([[2.0, 0.0], [0.0, 1.0]]))
+            interclass_distance(make_pset([[2.0, 0.0], [0.0, 1.0]]))

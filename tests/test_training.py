@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgpan.data import (
-    ClassPrototype,
     PrototypeSet,
     SlideRecord,
     SyntheticConfig,
@@ -93,13 +92,7 @@ class TestForward:
         from fgpan.prototypes import normalize_prototypes
 
         slides, pset = tiny_corpus(sigma=0.2, rho=0.6)
-        scaled = PrototypeSet(
-            pset.dim,
-            [
-                ClassPrototype(p.class_id, p.name, p.description, 5.0 * p.embedding)
-                for p in pset.prototypes
-            ],
-        )
+        scaled = PrototypeSet(pset.names, pset.descriptions, 5.0 * pset.matrix())
         params = init_params(8, 2, 2, seed=1)
         _, a = forward_slide(slides[0], params, pset)
         _, b = forward_slide(slides[0], params, normalize_prototypes(scaled))
@@ -485,7 +478,7 @@ def wsi_shape_instance():
         classes=2, slides_per_class=1, patches_per_slide=2048, dim=256,
         grid_rows=64, grid_cols=64, seed=5,
     ))
-    pset = make_pset([p.embedding / np.linalg.norm(p.embedding) for p in pset.prototypes])
+    pset = make_pset([e / np.linalg.norm(e) for e in pset.matrix()])
     params = init_params(256, 4, 2, grid_rows=64, grid_cols=64, seed=0,
                          pos_mode="learned_table")
     return slides, pset, params
@@ -864,7 +857,7 @@ class TestTrain:
 
     def test_label_outside_prototypes_rejected(self):
         slides, pset = tiny_corpus(classes=3)
-        two = PrototypeSet(pset.dim, pset.prototypes[:2])
+        two = PrototypeSet(pset.names[:2], pset.descriptions[:2], pset.matrix()[:2])
         cfg = desk_profile(iterations=1)
         with pytest.raises(ValueError, match="outside prototype set"):
             train(slides, cfg, two)
